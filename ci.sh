@@ -28,6 +28,9 @@ cargo run -q -p fj-lint -- --max-wall-ms $((cold_ms * 2 + 500)) \
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> benchmark build (ledgerbench is its own workspace; test --workspace skips it)"
+cargo build --release --offline --manifest-path ledgerbench/Cargo.toml
+
 echo "==> telemetry smoke"
 cargo run -q -p fj-bench --bin telemetry_smoke
 

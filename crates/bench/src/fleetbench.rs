@@ -110,9 +110,10 @@ pub struct RunReport {
     /// Speedup over the single-shard run of the same cell.
     pub speedup: f64,
     /// Estimated peak resident bytes of in-flight round records:
-    /// `routers × min(chunk, rounds) × sizeof(record)`. The column the
-    /// streaming engine exists for — chunked cells hold one chunk,
-    /// whole-horizon cells hold every round at once.
+    /// `routers × min(2 × chunk, rounds) × sizeof(record)`. The column
+    /// the streaming engine exists for — chunked cells hold two chunks
+    /// (one merging, one simulating), whole-horizon cells hold every
+    /// round at once.
     pub est_peak_record_bytes: u64,
     /// Whether the trace matched the cell's first run (always true —
     /// a divergence aborts the sweep — but recorded for the artifact).
@@ -309,10 +310,11 @@ pub fn run_sweep(smoke: bool, print: bool) -> Result<Report, SimError> {
             let (trace, secs, efficiency) = run_once(cfg, shards)?;
             let rounds = trace.total_wall.len();
             let router_rounds = (rounds * routers) as f64;
+            // The chunk being merged plus the one simulating behind it.
             let rounds_in_flight = if cfg.chunk_rounds == 0 {
                 rounds as u64
             } else {
-                cfg.chunk_rounds.min(rounds as u64)
+                cfg.chunk_rounds.saturating_mul(2).min(rounds as u64)
             };
             let peak_bytes = estimated_peak_record_bytes(routers, rounds_in_flight);
             let speedup = match &baseline {
@@ -798,7 +800,7 @@ mod tests {
         // through 4 shards.
         let census_shards: Vec<usize> = census.runs.iter().map(|r| r.shards).collect();
         assert_eq!(census_shards, [1, 2, 4]);
-        // The chunked small cell holds one chunk of records, not the
+        // The chunked small cell holds two chunks of records, not the
         // whole horizon.
         let whole = &doc.sweep[0];
         let chunked = &doc.sweep[1];

@@ -123,18 +123,24 @@ impl Fleet {
         self.advance_with_shards(dt, fj_par::shard_count())
     }
 
-    /// [`Fleet::advance`] with an explicit shard count (1 = inline on the
-    /// calling thread). Results are bit-identical whatever `shards` is.
+    /// [`Fleet::advance`] with an explicit shard count. The routers move
+    /// by value through a [`fj_par::WorkerPool`] built for this call
+    /// (`shards <= 1` spawns no thread and steps inline) and are back in
+    /// place before the first error in fleet order is returned or a
+    /// router-step panic is re-raised. Results are bit-identical whatever
+    /// `shards` is.
     pub fn advance_with_shards(&mut self, dt: SimDuration, shards: usize) -> Result<(), SimError> {
         let now = self.now();
-        let Fleet {
-            routers, packets, ..
-        } = self;
-        let packets: &PacketProfile = packets;
-        let results =
-            fj_par::shard_map_mut(routers, shards, |_, router| router.step(now, packets, dt));
-        // First error in fleet order, as the sequential loop reported.
-        results.into_iter().collect()
+        let packets = self.packets.clone();
+        let pool = fj_par::WorkerPool::new(fj_par::clamp_shards(shards));
+        let routers = std::mem::take(&mut self.routers);
+        let step = move |_: usize, router: &mut FleetRouter| router.step(now, &packets, dt);
+        let done = pool.submit(routers, shards, || 0, step).wait();
+        self.routers = done.items;
+        done.result
+            .unwrap_or_else(|p| p.resume())
+            .into_iter()
+            .collect()
     }
 
     /// Total wall power right now — what the sum of external meters on
@@ -203,7 +209,7 @@ impl Fleet {
 mod tests {
     use super::*;
 
-    /// The sharded engine hands routers to scoped worker threads; this
+    /// The sharded engine hands routers to pool worker threads; this
     /// stops compiling if any simulator component regresses to a
     /// non-`Send`/`Sync` type (`Rc`, raw pointers, thread-bound handles).
     #[test]

@@ -14,9 +14,9 @@
 //! poll rounds; for each chunk:
 //!
 //! 1. **Simulate** — routers are split into contiguous index shards and
-//!    dispatched to a persistent [`fj_par::WorkerPool`] (spawned once
-//!    per run when `shards > 1`; the single-shard path stays inline and
-//!    thread-free); each shard runs its routers through the chunk's
+//!    dispatched to a [`fj_par::WorkerPool`] built once per run (a
+//!    one-shard run's pool spawns no thread and runs each chunk inline);
+//!    each shard runs its routers through the chunk's
 //!    window (events, polls, fault draws, health ladder, prediction)
 //!    with no cross-shard synchronisation, producing columnar
 //!    [`RoundRecord`] batches. This is sound because every input is
@@ -31,16 +31,19 @@
 //!    transitions, counters, gauges, adopted spans) is emitted in exactly
 //!    the sequence the old sequential loop produced.
 //!
-//! On the pool path the two phases **pipeline**: the next chunk is
-//! dispatched before the current chunk's merge begins, so the serial
-//! merge overlaps the workers' simulation. Ownership makes this safe —
-//! workers own the router cells (ping-ponged by value through the
-//! pool), the main thread owns all traces and telemetry emission — so
-//! the pipelining is invisible to every output.
+//! The two phases **pipeline** at every shard count: each chunk is
+//! waited for, the next chunk is dispatched, and only then is the first
+//! one merged and its boundary (alerts, progress, checkpoint) run, so on
+//! a threaded pool the serial merge overlaps the workers' simulation.
+//! Ownership makes this safe — workers own the router cells
+//! (ping-ponged by value through the pool), the main thread owns all
+//! traces and telemetry emission — so the pipelining is invisible to
+//! every output.
 //!
-//! Workers hold only one chunk of records at a time, so peak record
-//! memory is `O(routers × chunk_rounds)` instead of
-//! `O(routers × horizon)` ([`estimated_peak_record_bytes`]).
+//! The engine holds at most two chunks of records at a time — the one
+//! being merged and the one being simulated — so peak record memory is
+//! `O(routers × 2 × chunk_rounds)` instead of `O(routers × horizon)`
+//! ([`estimated_peak_record_bytes`]).
 //!
 //! # Checkpoints and crash recovery
 //!
@@ -49,9 +52,8 @@
 //! health and predictor counters, event cursors, traces, totals, and the
 //! whole telemetry bundle — to a CRC-sealed file
 //! ([`crate::checkpoint`]). A supervisor catches shard panics (reported
-//! deterministically by [`fj_par::Pending::wait`] on the pool path and
-//! [`fj_par::try_shard_map_mut`] inline — lowest panicking shard wins
-//! attribution on both), restores the chunk-boundary state,
+//! deterministically by [`fj_par::Pending::wait`] — lowest panicking
+//! shard wins attribution), restores the chunk-boundary state,
 //! and retries with [`fj_faults::Backoff`] up to
 //! [`StreamConfig::max_restarts`] times; a killed process resumes from
 //! the newest verifiable checkpoint ([`StreamConfig::resume`]), falling
@@ -69,6 +71,7 @@
 //! `fleet_checkpoints_rejected_total`) are excluded from the
 //! deterministic surface by construction.
 
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -151,7 +154,9 @@ impl FleetTrace {
 
 /// Runs the fleet from `start` (inclusive) to `end` (exclusive) at the
 /// poll period `step`, applying `events` at their scheduled times and
-/// recording one sample per poll.
+/// recording one sample per poll — fault-free, into the global
+/// telemetry bundle, at the default shard count ([`fj_par::shard_count`],
+/// overridable via `FJ_SHARDS`).
 ///
 /// `instrumented` lists fleet indices carrying Autopower units (the paper
 /// deployed three); their wall power is recorded externally.
@@ -163,62 +168,6 @@ pub fn collect(
     events: Vec<ScheduledEvent>,
     instrumented: &[usize],
 ) -> Result<FleetTrace, SimError> {
-    collect_with_faults(
-        fleet,
-        start,
-        end,
-        step,
-        events,
-        instrumented,
-        &FaultPlan::clean(),
-    )
-}
-
-/// [`collect`] under a fault plan: the plan's drop channel, drawn per
-/// router per tick (streams `"snmp/{router}"` and `"wall/{router}"`),
-/// decides which polls fail. Failed polls become gap markers on the
-/// per-router series, and any tick with at least one failed SNMP poll
-/// turns the fleet-total sample into a gap — the total is unknowable
-/// when a contributor is missing.
-pub fn collect_with_faults(
-    fleet: &mut Fleet,
-    start: SimInstant,
-    end: SimInstant,
-    step: SimDuration,
-    events: Vec<ScheduledEvent>,
-    instrumented: &[usize],
-    poll_faults: &FaultPlan,
-) -> Result<FleetTrace, SimError> {
-    collect_with_telemetry(
-        fleet,
-        start,
-        end,
-        step,
-        events,
-        instrumented,
-        poll_faults,
-        fj_telemetry::global(),
-    )
-}
-
-/// [`collect_with_faults`] reporting into an explicit [`Telemetry`]
-/// bundle: per-round span timing, `gaps_total` counters by source, a
-/// per-router health ladder (gauge `fleet_router_health`), and a Warn
-/// cause event — stamped with the round's sim time — for every gap
-/// marker pushed onto a series. Runs shard-parallel with the default
-/// shard count ([`fj_par::shard_count`], overridable via `FJ_SHARDS`);
-/// see [`collect_sharded`] for the determinism contract.
-#[allow(clippy::too_many_arguments)]
-pub fn collect_with_telemetry(
-    fleet: &mut Fleet,
-    start: SimInstant,
-    end: SimInstant,
-    step: SimDuration,
-    events: Vec<ScheduledEvent>,
-    instrumented: &[usize],
-    poll_faults: &FaultPlan,
-    telemetry: &Arc<Telemetry>,
-) -> Result<FleetTrace, SimError> {
     collect_sharded(
         fleet,
         start,
@@ -226,8 +175,8 @@ pub fn collect_with_telemetry(
         step,
         events,
         instrumented,
-        poll_faults,
-        telemetry,
+        &FaultPlan::clean(),
+        fj_telemetry::global(),
         fj_par::shard_count(),
     )
 }
@@ -308,8 +257,10 @@ const SPAN_NAMES: &[&str] = &[
 /// Estimated peak resident bytes of columnar round records during a
 /// streaming collection: `routers × rounds_in_flight ×
 /// sizeof(RoundRecord)`. For the chunked engine `rounds_in_flight` is
-/// the chunk size; for a whole-horizon run it is the total round count.
-/// (Bench reports use this to show the O(routers × chunk) memory bound.)
+/// two chunks — the one being merged and the one being simulated —
+/// capped at the total round count, which is also the whole-horizon
+/// value. (Bench reports use this to show the O(routers × chunk) memory
+/// bound.)
 pub fn estimated_peak_record_bytes(routers: usize, rounds_in_flight: u64) -> u64 {
     let per_round = u64::try_from(std::mem::size_of::<RoundRecord>()).unwrap_or(u64::MAX);
     u64::try_from(routers)
@@ -361,7 +312,8 @@ pub struct StreamConfig {
     pub shards: usize,
     /// Poll rounds simulated per epoch chunk; `0` means the whole
     /// horizon in one chunk. Peak record memory is
-    /// `O(routers × chunk_rounds)`.
+    /// `O(routers × 2 × chunk_rounds)` (64 B per router-round): at every
+    /// shard count the next chunk simulates while this one merges.
     pub chunk_rounds: u64,
     /// Supervised restarts allowed after shard panics. Each restart
     /// restores the chunk-boundary state and retries the chunk after an
@@ -688,12 +640,22 @@ fn run_chunk(
     Ok(out)
 }
 
-/// [`collect_with_telemetry`] with an explicit shard count — the
-/// deterministic sharded engine, running as one whole-horizon chunk.
+/// [`collect`] under a fault plan, reporting into an explicit
+/// [`Telemetry`] bundle with an explicit shard count — the deterministic
+/// sharded engine, running as one whole-horizon chunk.
+///
+/// The plan's drop channel, drawn per router per tick (streams
+/// `"snmp/{router}"` and `"wall/{router}"`), decides which polls fail.
+/// Failed polls become gap markers on the per-router series, each with a
+/// Warn cause event stamped with the round's sim time and a `gaps_total`
+/// count by source, and any tick with at least one failed SNMP poll turns
+/// the fleet-total sample into a gap — the total is unknowable when a
+/// contributor is missing. A per-router health ladder is kept in the
+/// gauge `fleet_router_health`.
 ///
 /// Phase 1 splits the fleet into `shards` contiguous index ranges and
-/// simulates every router on the persistent worker pool (`shards <= 1`
-/// runs inline). Phase 2 merges on the calling thread in strict `(round,
+/// simulates every router on a worker pool (`shards <= 1` runs inline).
+/// Phase 2 merges on the calling thread in strict `(round,
 /// router-index)` order: fleet totals sum in fleet order (so
 /// floating-point association never depends on the shard count) and all
 /// telemetry — gap cause events, health transitions, gauges, counters —
@@ -728,100 +690,6 @@ pub fn collect_sharded(
         &config,
     )
     .map(|outcome| outcome.trace)
-}
-
-/// One in-flight chunk dispatch. The inline single-shard path completes
-/// synchronously (`Ready`); the pool path returns a [`fj_par::Pending`]
-/// handle so the caller can merge the *previous* chunk while workers
-/// simulate this one.
-enum Inflight {
-    Ready {
-        cells: Vec<RouterCell>,
-        result: Result<Vec<Result<ChunkOutput, SimError>>, fj_par::ShardPanic>,
-        stats: Option<fj_par::ShardStats>,
-    },
-    Pooled(fj_par::Pending<RouterCell, Result<ChunkOutput, SimError>>),
-}
-
-impl Inflight {
-    /// Blocks until the chunk's workers are done (a no-op for `Ready`)
-    /// and hands back the cells, the per-router results in fleet order,
-    /// and the profiler stats if the dispatch was profiled.
-    #[allow(clippy::type_complexity)]
-    fn wait(
-        self,
-    ) -> (
-        Vec<RouterCell>,
-        Result<Vec<Result<ChunkOutput, SimError>>, fj_par::ShardPanic>,
-        Option<fj_par::ShardStats>,
-    ) {
-        match self {
-            Inflight::Ready {
-                cells,
-                result,
-                stats,
-            } => (cells, result, stats),
-            Inflight::Pooled(pending) => {
-                let done = pending.wait();
-                (done.items, done.result, done.stats)
-            }
-        }
-    }
-}
-
-/// Dispatches one chunk over the cells: onto the persistent pool when
-/// one exists (taking ownership of the cells for the flight), inline on
-/// the calling thread otherwise. The mapped results are bit-identical
-/// either way — the pool preserves fj-par's index-order reduction and
-/// lowest-shard panic semantics exactly.
-fn dispatch_chunk(
-    pool: Option<&fj_par::WorkerPool>,
-    ctx: &Arc<RunContext>,
-    window: ChunkWindow,
-    shards: usize,
-    mut cells: Vec<RouterCell>,
-    profile_epoch: Option<WallEpoch>,
-) -> Inflight {
-    match pool {
-        Some(pool) => {
-            let ctx = Arc::clone(ctx);
-            let f = move |i: usize, cell: &mut RouterCell| run_chunk(&ctx, window, i, cell);
-            let pending = match profile_epoch {
-                Some(epoch) => {
-                    pool.submit_profiled(cells, shards, move || epoch.elapsed_micros(), f)
-                }
-                None => pool.submit(cells, shards, f),
-            };
-            Inflight::Pooled(pending)
-        }
-        None => {
-            let (result, stats) = match profile_epoch {
-                Some(epoch) => {
-                    let clock = move || epoch.elapsed_micros();
-                    match fj_par::try_shard_map_mut_profiled(
-                        &mut cells,
-                        shards,
-                        &clock,
-                        |i, cell| run_chunk(ctx, window, i, cell),
-                    ) {
-                        Ok((results, stats)) => (Ok(results), Some(stats)),
-                        Err(p) => (Err(p), None),
-                    }
-                }
-                None => (
-                    fj_par::try_shard_map_mut(&mut cells, shards, |i, cell| {
-                        run_chunk(ctx, window, i, cell)
-                    }),
-                    None,
-                ),
-            };
-            Inflight::Ready {
-                cells,
-                result,
-                stats,
-            }
-        }
-    }
 }
 
 /// Recovery bookkeeping counters, registered only for supervised or
@@ -966,15 +834,13 @@ impl RunProfiler {
         self.efficiency.set(report.efficiency);
         self.merge_fraction.set(report.merge_fraction);
         // Cumulative pool dispatch wait so far — the series the
-        // `dispatch_wait_budget` alert rule watches. Zero (absent from
-        // the report) on the inline path.
+        // `dispatch_wait_budget` alert rule watches.
         self.dispatch_wait
             .set(report.pool_dispatch_wait_secs.unwrap_or(0.0));
     }
 
     /// Attributes a pool dispatch's queue wait (dispatch entry → each
-    /// worker's first instruction) — the pool-path successor of the
-    /// scoped engine's per-chunk spawn wait.
+    /// shard's first item).
     fn record_pool_dispatch_wait(&mut self, us: u64) {
         self.acc.record_pool_dispatch_wait(us);
     }
@@ -1266,14 +1132,13 @@ pub fn collect_streaming(
         Backoff::new(Duration::from_millis(2), Duration::from_millis(50)).with_seed(0x464A_434B);
     let mut round = first_round;
     let mut chunks_done = 0u64;
-    let mut completed = true;
 
-    // The persistent worker pool: threads are spawned once here and
-    // parked on their channels between chunks; `shards <= 1` runs inline
-    // with no pool at all. The pool is sized to the host — shard counts
-    // above the core count (the FJ01 1024-shard case) round-robin onto
-    // the available workers deterministically.
-    let pool = (shards > 1).then(|| fj_par::WorkerPool::new(fj_par::clamp_shards(shards)));
+    // One pool per run, sized to the host: threads are spawned once here
+    // and parked on their channels between chunks; a one-shard run's pool
+    // spawns none and runs each chunk inline inside `submit`. Shard counts
+    // above the core count (the FJ01 1024-shard case) round-robin onto the
+    // available workers deterministically.
+    let pool = fj_par::WorkerPool::new(fj_par::clamp_shards(shards));
     let ctx = Arc::new(RunContext {
         start,
         step,
@@ -1283,55 +1148,53 @@ pub fn collect_streaming(
         epoch: tracer.epoch(),
         chaos: config.chaos_panic.clone(),
     });
+    // Profiling stamps dispatches with the tracer's epoch; an unprofiled
+    // run's clock returns 0 and takes no wall reads.
     let profile_epoch = profiler.as_ref().map(|p| p.epoch);
+    let clock = move || profile_epoch.map_or(0, |e| e.elapsed_micros());
+    // Starts one chunk on the pool, returning the clock reading at
+    // dispatch with the pending handle.
+    let dispatch = |window: ChunkWindow, cells: Vec<RouterCell>| {
+        let ctx = Arc::clone(&ctx);
+        let run = move |i: usize, cell: &mut RouterCell| run_chunk(&ctx, window, i, cell);
+        (clock(), pool.submit(cells, shards, clock, run))
+    };
     let window_at = |first: u64| ChunkWindow {
         first,
         end: rounds_total.min(first.saturating_add(chunk_rounds)),
     };
 
     // Pipelined dispatch state. The first chunk is dispatched before the
-    // loop; each iteration then waits on chunk N, dispatches chunk N+1
-    // (pool path), and merges chunk N while N+1 simulates. `boundary` is
-    // the worker-side rewind point for supervised restarts, captured at
-    // every dispatch; the merge side needs none — it only runs after the
-    // chunk succeeded.
+    // loop; each iteration then waits on chunk N, dispatches chunk N+1,
+    // merges chunk N while N+1 simulates, and runs N's boundary.
+    // `boundary` is the worker-side rewind point for supervised restarts,
+    // captured at every dispatch; the merge side needs none — it only
+    // runs after the chunk succeeded.
     let mut window = window_at(round);
     let mut boundary: Option<Vec<BoundaryState>> =
         supervising.then(|| cells.iter().map(BoundaryState::capture).collect());
-    let mut dispatched_us = profile_epoch.map_or(0, |e| e.elapsed_micros());
-    let mut inflight = dispatch_chunk(pool.as_ref(), &ctx, window, shards, cells, profile_epoch);
+    let (mut dispatched_us, mut pending) = dispatch(window, cells);
     // Merge interval of the previous chunk, awaiting overlap attribution
     // against the dispatch currently in flight.
     let mut overlap_pending: Option<(u64, u64)> = None;
-    let final_cells: Vec<RouterCell>;
-    loop {
-        // Wait for the chunk's workers, supervising panics: restore the
+    let final_cells = loop {
+        // 1. Wait for chunk N, supervising panics: restore the
         // chunk-boundary state, back off, re-dispatch the same window.
         let (cells_now, outs, chunk_stats) = loop {
-            let (mut got, result, stats) = inflight.wait();
+            let fj_par::Completed {
+                items: mut got,
+                result,
+                stats,
+            } = pending.wait();
             match result {
-                Ok(results) => {
-                    let mut outs = Vec::with_capacity(results.len());
-                    let mut first_err = None;
-                    for r in results {
-                        match r {
-                            Ok(o) => outs.push(o),
-                            Err(e) => {
-                                // First error in fleet order, matching
-                                // the sequential loop.
-                                first_err = Some(e);
-                                break;
-                            }
-                        }
+                // First error in fleet order, matching the sequential loop.
+                Ok(results) => match results.into_iter().collect::<Result<Vec<_>, _>>() {
+                    Ok(outs) => break (got, outs, stats),
+                    Err(e) => {
+                        fleet.routers = got.into_iter().map(|c| c.router).collect();
+                        return Err(e);
                     }
-                    match first_err {
-                        Some(e) => {
-                            fleet.routers = got.into_iter().map(|c| c.router).collect();
-                            return Err(e);
-                        }
-                        None => break (got, outs, stats),
-                    }
-                }
+                },
                 Err(p) => {
                     // A wedged pool worker loses its shard's cells; only
                     // a complete set can be rewound and retried.
@@ -1363,9 +1226,7 @@ pub fn collect_streaming(
                             b.restore_into(cell);
                         }
                         std::thread::sleep(backoff.next_delay(Duration::ZERO));
-                        dispatched_us = profile_epoch.map_or(0, |e| e.elapsed_micros());
-                        inflight =
-                            dispatch_chunk(pool.as_ref(), &ctx, window, shards, got, profile_epoch);
+                        (dispatched_us, pending) = dispatch(window, got);
                     } else {
                         // Unsupervised (or budget exhausted): crash
                         // context first, then the panic proceeds exactly
@@ -1387,51 +1248,38 @@ pub fn collect_streaming(
         // Merge-overlap attribution: how much of the previous chunk's
         // merge interval ran while this chunk's workers were still busy.
         // `dispatched_us + critical_end` is the absolute epoch time the
-        // last worker finished its item loop.
+        // last worker finished its item loop — for an inline dispatch,
+        // before the merge began, so it never counts as overlap.
         if let (Some(p), Some((m0, m1))) = (&mut profiler, overlap_pending.take()) {
-            if let Some(stats) = &chunk_stats {
-                let workers_end = dispatched_us.saturating_add(stats.critical_end_us());
-                p.record_merge_overlap(workers_end.min(m1).saturating_sub(m0));
-            }
+            let workers_end = dispatched_us.saturating_add(chunk_stats.critical_end_us());
+            p.record_merge_overlap(workers_end.min(m1).saturating_sub(m0));
         }
 
-        // Decide — and on the pool path start — the next chunk *before*
-        // merging this one: that is the pipeline. `stop_after_chunks`
-        // counts this chunk, so a stopping run never simulates past the
-        // rounds it reports and the returned fleet state matches an
-        // unpipelined engine's exactly.
+        // 2. Dispatch chunk N+1 *before* merging chunk N: that is the
+        // pipeline. `stop_after_chunks` counts this chunk, so a stopping
+        // run never simulates past the rounds it reports and the returned
+        // fleet state matches an unpipelined engine's exactly.
         let stopping = config
             .stop_after_chunks
             .is_some_and(|n| chunks_done + 1 >= n);
-        let has_next = window.end < rounds_total && !stopping;
         // Sim-side checkpoint snapshot, taken while the cells are in
-        // hand (they may be re-dispatched below): the merge-owned traces
+        // hand (they are re-dispatched below): the merge-owned traces
         // and telemetry are folded in at write time, after this chunk's
         // merge ran. The cells' sim state at this boundary is exactly
         // what the next dispatch starts from — the merge never touches
         // sim-side fields.
         let ckpt_cells = (config.checkpoints.is_some() && window.end < rounds_total)
             .then(|| capture_router_states(&cells_now));
-        let mut cells_opt = Some(cells_now);
-        let mut prefetched: Option<Inflight> = None;
-        if has_next && pool.is_some() {
-            if let Some(next_cells) = cells_opt.take() {
-                boundary =
-                    supervising.then(|| next_cells.iter().map(BoundaryState::capture).collect());
-                dispatched_us = profile_epoch.map_or(0, |e| e.elapsed_micros());
-                prefetched = Some(dispatch_chunk(
-                    pool.as_ref(),
-                    &ctx,
-                    window_at(window.end),
-                    shards,
-                    next_cells,
-                    profile_epoch,
-                ));
-            }
-        }
+        let next = if window.end < rounds_total && !stopping {
+            boundary = supervising.then(|| cells_now.iter().map(BoundaryState::capture).collect());
+            ControlFlow::Continue(dispatch(window_at(window.end), cells_now))
+        } else {
+            ControlFlow::Break(cells_now)
+        };
 
-        // Chunk spans carry the window's sim extent; the whole-horizon
-        // chunk reproduces the old `[start, end]` stamps exactly.
+        // 3. Merge chunk N. Chunk spans carry the window's sim extent;
+        // the whole-horizon chunk reproduces the old `[start, end]`
+        // stamps exactly.
         let chunk_start = if window.first == 0 {
             start
         } else {
@@ -1448,9 +1296,9 @@ pub fn collect_streaming(
         let sim_span = tracer.begin_span("fleet_simulate", Some(root_span), chunk_start);
         tracer.end_span(sim_span, chunk_end);
         // The serial section the profiler attributes to "merge": worker
-        // span absorption plus the sequential (round, router) replay. On
-        // the pool path the next chunk is already simulating while this
-        // runs — the interval is saved for overlap attribution above.
+        // span absorption plus the sequential (round, router) replay. The
+        // next chunk is already simulating while this runs — the interval
+        // is saved for overlap attribution above.
         let merge_started_us = profiler.as_ref().map(|p| p.epoch.elapsed_micros());
         // Fold each worker's complete stage totals (and span-drop
         // counts) into the sink before replay, in fleet order.
@@ -1474,7 +1322,7 @@ pub fn collect_streaming(
         round = window.end;
         chunks_done += 1;
 
-        // Alert evaluation at the chunk boundary, in sim time, *before*
+        // 4. The boundary. Alert evaluation runs in sim time, *before*
         // the checkpoint write below: the checkpoint then carries the
         // post-eval engine state, so a resumed run continues the verdict
         // stream exactly (the boundary is never re-evaluated).
@@ -1485,15 +1333,12 @@ pub fn collect_streaming(
         if let Some(p) = &mut profiler {
             let merge_ended_us = p.epoch.elapsed_micros();
             let merge_us = merge_started_us.map_or(0, |t0| merge_ended_us.saturating_sub(t0));
-            let stats = chunk_stats.unwrap_or_default();
-            if pool.is_some() {
-                // On the pool path the per-worker spawn wait *is* the
-                // dispatch queue wait (channel send + queueing behind
-                // earlier shards on the same worker).
-                p.record_pool_dispatch_wait(stats.spawn_wait_us());
-            }
-            p.record_chunk(&stats, merge_us);
-            if prefetched.is_some() {
+            // The per-worker spawn wait *is* the dispatch queue wait
+            // (channel send + queueing behind earlier shards on the same
+            // worker); an inline pool's first shard never waits.
+            p.record_pool_dispatch_wait(chunk_stats.spawn_wait_us());
+            p.record_chunk(&chunk_stats, merge_us);
+            if next.is_continue() {
                 if let Some(t0) = merge_started_us {
                     overlap_pending = Some((t0, merge_ended_us));
                 }
@@ -1522,9 +1367,10 @@ pub fn collect_streaming(
                 wall_secs,
                 rounds_per_sec: rate,
                 eta_secs,
+                // The chunk being merged plus the one being simulated.
                 est_peak_record_bytes: estimated_peak_record_bytes(
                     router_count,
-                    chunk_rounds.min(rounds_total.max(1)),
+                    chunk_rounds.saturating_mul(2).min(rounds_total),
                 ),
                 checkpoints_written,
                 checkpoints_rejected: u64::from(checkpoints_rejected),
@@ -1543,10 +1389,6 @@ pub fn collect_streaming(
             }
         }
 
-        if round >= rounds_total {
-            final_cells = cells_opt.take().unwrap_or_default();
-            break;
-        }
         if let (Some(ckpt_cfg), Some(ckpt_routers)) = (&config.checkpoints, ckpt_cells) {
             checkpoints_written += 1;
             if let Some(rc) = &recovery {
@@ -1575,34 +1417,18 @@ pub fn collect_streaming(
                     .trip_flight_recorder("checkpoint write failed", &[("error", e.to_string())]);
             }
         }
-        if stopping {
-            completed = false;
-            final_cells = cells_opt.take().unwrap_or_default();
-            break;
-        }
 
-        // Advance: the pool path already dispatched the next chunk
-        // before the merge; the inline path dispatches it now.
-        window = window_at(round);
-        inflight = match prefetched {
-            Some(inf) => inf,
-            None => {
-                let next_cells = cells_opt.take().unwrap_or_default();
-                boundary =
-                    supervising.then(|| next_cells.iter().map(BoundaryState::capture).collect());
-                dispatched_us = profile_epoch.map_or(0, |e| e.elapsed_micros());
-                dispatch_chunk(
-                    pool.as_ref(),
-                    &ctx,
-                    window,
-                    shards,
-                    next_cells,
-                    profile_epoch,
-                )
+        match next {
+            ControlFlow::Continue((at, next_pending)) => {
+                dispatched_us = at;
+                pending = next_pending;
+                window = window_at(round);
             }
-        };
-    }
+            ControlFlow::Break(cells_done) => break cells_done,
+        }
+    };
 
+    let completed = round >= rounds_total;
     if completed {
         tracer.end_span(root_span, end);
     }
@@ -1622,7 +1448,7 @@ pub fn collect_streaming(
 }
 
 /// Snapshots the sim-side per-router state at a chunk boundary, while
-/// the cells are still in hand (the pipelined engine may dispatch them
+/// the cells are still in hand (the pipelined engine dispatches them
 /// for the next chunk before the checkpoint is written). The merge-owned
 /// trace slot is left empty; [`build_state`] fills it at write time.
 fn capture_router_states(cells: &[RouterCell]) -> Vec<checkpoint::RouterState> {
@@ -1925,7 +1751,7 @@ mod tests {
     fn failed_polls_become_gaps_not_zeros() {
         let mut fleet = build_fleet(&FleetConfig::small(11));
         let plan = FaultPlan::new(0x90115).with_drop_rate(0.2);
-        let trace = collect_with_faults(
+        let trace = collect_sharded(
             &mut fleet,
             SimInstant::EPOCH,
             SimInstant::from_days(1),
@@ -1933,6 +1759,8 @@ mod tests {
             vec![],
             &[0],
             &plan,
+            fj_telemetry::global(),
+            fj_par::shard_count(),
         )
         .unwrap();
         let ticks = 24 * 12 - 1;
@@ -1990,7 +1818,7 @@ mod tests {
         let telemetry = Telemetry::with_capacity(16384);
         let mut fleet = build_fleet(&FleetConfig::small(11));
         let plan = FaultPlan::new(0x6A9_0002).with_drop_rate(0.2);
-        let trace = collect_with_telemetry(
+        let trace = collect_sharded(
             &mut fleet,
             SimInstant::EPOCH,
             SimInstant::from_days(1),
@@ -1999,6 +1827,7 @@ mod tests {
             &[0],
             &plan,
             &telemetry,
+            fj_par::shard_count(),
         )
         .unwrap();
         assert!(trace.missed_polls > 0, "plan injected failures");
@@ -2132,6 +1961,43 @@ mod tests {
         assert_eq!(outcome.rounds_done, 100);
         assert_eq!(outcome.rounds_total, 287);
         assert_eq!(outcome.trace.total_wall.len(), 100);
+    }
+
+    #[test]
+    fn progress_counts_the_chunk_simulating_behind_the_merge() {
+        // 287 rounds in 96-round chunks: three chunks, so the engine holds
+        // two chunks of records at its peak, at every shard count.
+        for shards in [1, 2] {
+            let mut fleet = build_fleet(&FleetConfig::small(5));
+            let routers = fleet.routers.len();
+            let telemetry = Telemetry::with_capacity(1 << 10);
+            let config = StreamConfig {
+                shards,
+                chunk_rounds: 96,
+                profile: true,
+                ..StreamConfig::default()
+            };
+            let outcome = collect_streaming(
+                &mut fleet,
+                SimInstant::EPOCH,
+                SimInstant::from_days(1),
+                SimDuration::from_mins(5),
+                vec![],
+                &[0],
+                &FaultPlan::clean(),
+                &telemetry,
+                &config,
+            )
+            .unwrap();
+            let last = telemetry.latest_progress().expect("profiled run publishes");
+            assert_eq!(last.chunk, 3, "shards {shards}");
+            assert_eq!(last.rounds_done, outcome.rounds_total);
+            assert_eq!(
+                last.est_peak_record_bytes,
+                estimated_peak_record_bytes(routers, 192),
+                "shards {shards}"
+            );
+        }
     }
 
     #[test]

@@ -96,10 +96,9 @@ pub fn lint_root(root: &Path) -> io::Result<Report> {
 /// makes the output byte-identical across shard counts and cold/warm
 /// runs, which CI asserts.
 pub fn lint_root_with(root: &Path, opts: &LintOptions) -> io::Result<Report> {
-    let files = workspace::collect(root)?;
     let design = fs::read_to_string(root.join("DESIGN.md")).unwrap_or_default();
-    let scanned: Vec<&SourceFile> = files
-        .iter()
+    let files: Vec<SourceFile> = workspace::collect(root)?
+        .into_iter()
         .filter(|f| f.class != FileClass::Vendor)
         .collect();
 
@@ -110,10 +109,11 @@ pub fn lint_root_with(root: &Path, opts: &LintOptions) -> io::Result<Report> {
         opts.shards
     };
 
-    // Parallel per-file stage. `shard_map` returns results in index
-    // order for any shard count, so downstream assembly sees the same
-    // sequence whether this ran on 1 thread or 8.
-    let outcomes: Vec<(u64, bool, FileOutcome)> = fj_par::shard_map(&scanned, shards, |_, file| {
+    // Parallel per-file stage. The files travel through the pool by
+    // value and come back, with their results, in index order for any
+    // shard count, so downstream assembly sees the same sequence whether
+    // this ran on 1 thread or 8.
+    let per_file = move |_: usize, file: &mut SourceFile| {
         let id = symbols::resolve(&file.rel);
         let surface = symbols::classify(&id, file.class);
         let key = cache::file_key(&file.text, file.class.label(), surface.label());
@@ -121,7 +121,11 @@ pub fn lint_root_with(root: &Path, opts: &LintOptions) -> io::Result<Report> {
             return (key, true, hit.clone());
         }
         (key, false, lint_file(file, surface))
-    });
+    };
+    let pool = fj_par::WorkerPool::new(fj_par::clamp_shards(shards));
+    let done = pool.submit(files, shards, || 0, per_file).wait();
+    let outcomes: Vec<(u64, bool, FileOutcome)> = done.result.unwrap_or_else(|p| p.resume());
+    let scanned = done.items;
 
     let mut new_cache = Cache::default();
     let mut cache_hits = 0usize;

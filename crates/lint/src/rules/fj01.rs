@@ -8,13 +8,13 @@
 //! clock/seed or justify itself in place.
 //!
 //! Threads deserve the same scrutiny but not a needle: the workspace's
-//! one concurrency seam is `std::thread::scope` inside `fj-par`, whose
-//! shard reduction is deterministic by construction (contiguous index
-//! shards, results concatenated in index order — see DESIGN.md,
-//! "Parallel execution & determinism contract"). Sim crates must
-//! parallelise through `fj_par::shard_map{,_mut}` rather than spawning
-//! threads ad hoc, so the determinism argument stays auditable in one
-//! place; `crates/isp/tests/determinism.rs` enforces it end to end.
+//! one concurrency seam is `fj_par::WorkerPool`, whose shard reduction
+//! is deterministic by construction (contiguous index shards, results
+//! reassembled in index order — see DESIGN.md, "Parallel execution &
+//! determinism contract"). Sim crates must parallelise through
+//! `WorkerPool::submit` rather than spawning threads ad hoc, so the
+//! determinism argument stays auditable in one place;
+//! `crates/isp/tests/determinism.rs` enforces it end to end.
 
 use super::{find_all, FileCtx};
 use crate::findings::Finding;

@@ -11,8 +11,8 @@
 //! load-bearing, and the next `.par`-ish shuffle or chunk resize
 //! reorders a floating-point reduction — bit-replay gone. This rule
 //! makes the discipline explicit: in deterministic-surface,
-//! shard-adjacent code, a result of `shard_map` / `try_shard_map_mut` /
-//! `collect_sharded` / `collect_streaming` must not feed `.sum()` /
+//! shard-adjacent code, the result of a `WorkerPool::submit` dispatch,
+//! `collect_sharded` or `collect_streaming` must not feed `.sum()` /
 //! `.product()` directly; route it through the index-ordered merge, the
 //! `PrefixSums` seam, or justify the reduction with a pragma.
 
@@ -22,14 +22,7 @@ use crate::symbols::Surface;
 use crate::workspace::FileClass;
 
 /// Calls that produce shard-ordered collections.
-const PRODUCERS: &[&str] = &[
-    "shard_map(",
-    "shard_map_mut(",
-    "try_shard_map_mut(",
-    "try_shard_map_mut_profiled(",
-    "collect_sharded(",
-    "collect_streaming(",
-];
+const PRODUCERS: &[&str] = &[".submit(", "collect_sharded(", "collect_streaming("];
 
 /// Order-sensitive iterator reductions, in both plain and turbofish
 /// spellings.
@@ -57,16 +50,16 @@ pub fn check(ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
             let stmt_start = statement_start(code, pos);
             let stmt_end = statement_end(code, pos);
             let stmt = &code[stmt_start..stmt_end];
-            // Direct chain: `... shard_map(...).iter().sum()` in one
-            // statement.
+            // Direct chain: `... submit(...).wait().items.iter().sum()`
+            // in one statement.
             if !stmt.contains(KAHAN_SEAM) {
                 if let Some(reducer) = REDUCERS.iter().find(|r| code[pos..stmt_end].contains(*r)) {
                     out.push(finding(ctx, pos, reducer));
                     continue;
                 }
             }
-            // Bound result: `let xs = ...shard_map(...);` followed by a
-            // reduction over `xs` later in the enclosing block.
+            // Bound result: `let xs = ...submit(...).wait();` followed by
+            // a reduction over `xs` later in the enclosing block.
             let Some(ident) = binding_ident(stmt) else {
                 continue;
             };

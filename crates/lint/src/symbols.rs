@@ -59,11 +59,11 @@ const AUDITED_SEAMS: &[(&str, &str)] = &[
     // Monotonic Relaxed counters/gauges: loads never feed back into sim
     // decisions, stores are commutative increments (PR 2 audit).
     ("telemetry", "metrics"),
-    // The single audited concurrency seam: contiguous index shards with
-    // stable index-order reduction (PR 4), including its profiled path
-    // and the persistent worker pool (`pool` module): per-worker mpsc
-    // channels with deterministic round-robin placement, per-item
-    // catch_unwind, lowest-shard-wins panic attribution. The empty
+    // The single audited concurrency seam: the worker pool (`pool`
+    // module) — contiguous index shards with stable index-order
+    // reduction, per-worker mpsc channels with deterministic round-robin
+    // placement, per-item catch_unwind, lowest-shard-wins panic
+    // attribution. The empty
     // prefix deliberately covers the whole crate, so a new module here
     // lands on the audited seam — adding one is an audit, not a lint fix.
     ("par", ""),
@@ -318,7 +318,7 @@ pub fn references_shard_seam(code: &str) -> bool {
     [
         "fj_par::",
         "use fj_par",
-        "shard_map",
+        "WorkerPool",
         "collect_sharded",
         "collect_streaming",
     ]
@@ -378,7 +378,7 @@ mod tests {
             Surface::AuditedSeam
         );
         assert_eq!(surf("crates/par/src/lib.rs"), Surface::AuditedSeam);
-        // The persistent worker pool rides the whole-crate seam entry.
+        // The worker pool rides the whole-crate seam entry.
         assert_eq!(surf("crates/par/src/pool.rs"), Surface::AuditedSeam);
         assert_eq!(surf("crates/obs/src/lib.rs"), Surface::Off);
         assert_eq!(surf("crates/telemetry/src/progress.rs"), Surface::Off);

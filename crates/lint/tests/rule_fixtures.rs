@@ -439,16 +439,16 @@ const SHARDY: &str = "crates/isp/src/fixture.rs";
 #[test]
 fn fj08_shard_reduction_fires_and_suppresses() {
     // Direct chain: shard results straight into `.sum()`.
-    let fired = "fn total(xs: &[f64]) -> f64 {\n\
-                 \x20   fj_par::shard_map(xs, 4, |_, x| *x).into_iter().sum()\n\
+    let fired = "fn total(pool: &fj_par::WorkerPool, xs: Vec<f64>) -> f64 {\n\
+                 \x20   pool.submit(xs, 4, || 0, |_, x| *x).wait().items.into_iter().sum()\n\
                  }\n";
     let (findings, _) = lint(SHARDY, FileClass::Library, fired);
     assert_eq!(rules_of(&findings), ["FJ08"]);
     assert!(findings[0].message.contains("sum"));
 
     // Bound result reduced later in the same block, turbofish spelling.
-    let bound = "fn total(xs: &[f64]) -> f64 {\n\
-                 \x20   let parts = fj_par::shard_map(xs, 4, |_, x| *x);\n\
+    let bound = "fn total(pool: &fj_par::WorkerPool, xs: Vec<f64>) -> f64 {\n\
+                 \x20   let parts = pool.submit(xs, 4, || 0, |_, x| *x).wait().items;\n\
                  \x20   let t = parts.iter().sum::<f64>();\n\
                  \x20   t\n\
                  }\n";
@@ -456,15 +456,15 @@ fn fj08_shard_reduction_fires_and_suppresses() {
     assert_eq!(rules_of(&findings), ["FJ08"], "bound-result form");
 
     // Routing through the Kahan seam is the sanctioned fix.
-    let seam = "fn total(xs: &[f64]) -> f64 {\n\
-                \x20   let parts = fj_par::shard_map(xs, 4, |_, x| *x);\n\
+    let seam = "fn total(pool: &fj_par::WorkerPool, xs: Vec<f64>) -> f64 {\n\
+                \x20   let parts = pool.submit(xs, 4, || 0, |_, x| *x).wait().items;\n\
                 \x20   PrefixSums::new(&parts).total()\n\
                 }\n";
     let (findings, _) = lint(SHARDY, FileClass::Library, seam);
     assert!(findings.is_empty(), "PrefixSums is exempt: {findings:?}");
 
-    let suppressed = "fn total(xs: &[u64]) -> u64 {\n\
-                      \x20   let parts = fj_par::shard_map(xs, 4, |_, x| *x);\n\
+    let suppressed = "fn total(pool: &fj_par::WorkerPool, xs: Vec<u64>) -> u64 {\n\
+                      \x20   let parts = pool.submit(xs, 4, || 0, |_, x| *x).wait().items;\n\
                       \x20   // fj-lint: allow(FJ08) — integer sum; addition commutes\n\
                       \x20   parts.iter().sum()\n\
                       }\n";
@@ -481,8 +481,8 @@ fn fj08_needs_shard_adjacency_and_the_surface() {
     assert!(findings.is_empty(), "no producer, no finding: {findings:?}");
 
     // The same shard-fed reduction off the surface is out of scope.
-    let fired = "fn total(xs: &[f64]) -> f64 {\n\
-                 \x20   fj_par::shard_map(xs, 4, |_, x| *x).into_iter().sum()\n\
+    let fired = "fn total(pool: &fj_par::WorkerPool, xs: Vec<f64>) -> f64 {\n\
+                 \x20   pool.submit(xs, 4, || 0, |_, x| *x).wait().items.into_iter().sum()\n\
                  }\n";
     let (findings, _) = lint("crates/obs/src/fixture.rs", FileClass::Library, fired);
     assert!(findings.is_empty(), "fj-obs is off-surface: {findings:?}");

@@ -3,9 +3,9 @@
 //! The committed `BENCH_fleet.json` baseline shows 2-shard speedup of
 //! ~0.95×, and before this crate nothing in the workspace could say
 //! *why*: merge serialization, worker idle time, or checkpoint stalls
-//! at chunk boundaries. `fj-obs` turns the raw per-worker timings that
-//! [`fj_par::try_shard_map_mut_profiled`] collects (plus the engine's
-//! measured serial merge time) into a [`ParallelEfficiencyReport`] — the
+//! at chunk boundaries. `fj-obs` turns the raw per-shard timings that
+//! [`fj_par::WorkerPool::submit`] stamps (plus the engine's measured
+//! serial merge time) into a [`ParallelEfficiencyReport`] — the
 //! quantities the ROADMAP's "make parallelism actually pay" item needs
 //! before any 1k/10k/50k scaling work touches the engine.
 //!
@@ -17,10 +17,10 @@
 //! `crates/isp/tests/profiler_fj01.rs` for the enforcement).
 //!
 //! The accounting identity this crate leans on, pinned down by the
-//! proptests in `tests/proptests.rs`: for every worker of a profiled
-//! call, `spawn_wait + busy + join_wait` equals the call's wall time up
-//! to clock granularity, so Σbusy / (wall × shards) is a true
-//! utilization in `[0, 1]` whenever workers get their own cores.
+//! proptests in `tests/proptests.rs`: for every shard of a dispatch,
+//! `spawn_wait + busy + join_wait` equals the dispatch's wall time up to
+//! clock granularity, so Σbusy / (wall × shards) is a true utilization
+//! in `[0, 1]` whenever workers get their own cores.
 
 use fj_par::ShardStats;
 use serde::{Deserialize, Serialize};
@@ -53,14 +53,14 @@ pub struct ParallelEfficiencyReport {
     pub spawn_wait_secs: f64,
     /// Σ worker join wait (worker end → call return).
     pub join_wait_secs: f64,
-    /// Σ pool dispatch wait: on the persistent-pool path, the time
-    /// between a chunk's dispatch and each worker's first instruction
-    /// (channel send + queueing behind earlier shards on the same
-    /// worker). Zero for scoped/inline runs. `Option` so baselines
-    /// recorded before the pool existed still parse (`None`).
+    /// Σ pool dispatch wait: the time between a chunk's dispatch and
+    /// each shard's first item (channel send + queueing behind earlier
+    /// shards on the same worker). Zero for one-shard inline runs.
+    /// `Option` so baselines recorded before the pool existed still
+    /// parse (`None`).
     pub pool_dispatch_wait_secs: Option<f64>,
     /// Σ merge time that overlapped the *next* chunk's simulation — the
-    /// pipelining win. Zero when the merge never overlaps (inline path,
+    /// pipelining win. Zero when the merge never overlaps (inline pools,
     /// single-chunk runs); `None` on pre-pool baselines.
     pub merge_overlap_secs: Option<f64>,
     /// merge_overlap / merge: the fraction of the serial merge hidden
@@ -141,9 +141,8 @@ impl EfficiencyAccumulator {
         self.chunks
     }
 
-    /// Absorbs one pool dispatch's queue wait (Σ per-worker spawn wait
-    /// as measured by [`fj_par::WorkerPool::submit_profiled`]). Callers
-    /// on the scoped path never call this; the field stays zero.
+    /// Absorbs one pool dispatch's queue wait (Σ per-shard spawn wait
+    /// as stamped by [`fj_par::WorkerPool::submit`]).
     pub fn record_pool_dispatch_wait(&mut self, us: u64) {
         self.pool_dispatch_wait_us += us;
     }

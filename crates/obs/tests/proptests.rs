@@ -2,27 +2,31 @@
 //! efficiency report invariants.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use fj_obs::EfficiencyAccumulator;
-use fj_par::{try_shard_map_mut_profiled, ShardStats, WorkerStats};
+use fj_par::{ShardStats, WorkerPool, WorkerStats};
 use proptest::prelude::*;
 
-/// Runs a profiled sharded map over `len` items with a deterministic,
-/// strictly monotonic fake clock (each read advances by one tick plus a
-/// per-item cost), returning the recorded stats.
-fn profiled_run(len: usize, shards: usize, item_cost: u64) -> ShardStats {
-    let tick = AtomicU64::new(0);
-    let clock = || tick.fetch_add(1, Ordering::Relaxed);
-    let mut items: Vec<u64> = (0..len as u64).collect();
-    let (_, stats) = try_shard_map_mut_profiled(&mut items, shards, &clock, |_, v| {
-        // Burn deterministic clock ticks to make workers visibly busy.
-        for _ in 0..item_cost {
-            clock();
-        }
-        *v
-    })
-    .expect("no panic injected");
-    stats
+/// Runs a pool dispatch over `len` items with a deterministic, strictly
+/// monotonic fake clock (each read advances by one tick plus a per-item
+/// cost), returning the recorded stats.
+fn profiled_run(len: usize, shards: usize, workers: usize, item_cost: u64) -> ShardStats {
+    let tick = Arc::new(AtomicU64::new(0));
+    let clock = {
+        let tick = Arc::clone(&tick);
+        move || tick.fetch_add(1, Ordering::Relaxed)
+    };
+    let items: Vec<u64> = (0..len as u64).collect();
+    let done = WorkerPool::new(workers)
+        .submit(items, shards, clock, move |_, v| {
+            // Advance the clock to make shards visibly busy.
+            tick.fetch_add(item_cost, Ordering::Relaxed);
+            *v
+        })
+        .wait();
+    done.result.expect("no panic injected");
+    done.stats
 }
 
 fn arb_worker() -> impl Strategy<Value = (u64, u64, u64, u64)> {
@@ -31,31 +35,30 @@ fn arb_worker() -> impl Strategy<Value = (u64, u64, u64, u64)> {
 }
 
 proptest! {
-    /// The accounting identity: every worker's spawn wait + busy + join
-    /// wait sums to the call's measured wall time, within one clock tick
-    /// per sampled stamp (the fake clock advances on every read, so the
-    /// four samples taken around a worker cost at most 4 ticks of skew).
+    /// The accounting identity: every shard's spawn wait + busy + join
+    /// wait sums to the dispatch's measured wall time, and total busy
+    /// never exceeds the available worker-time.
     #[test]
     fn worker_segments_sum_to_wall(
         len in 0usize..200,
         shards in 1usize..9,
+        workers in 0usize..4,
         item_cost in 0u64..50,
     ) {
-        let stats = profiled_run(len, shards, item_cost);
-        // The inline path (≤ 1 range) still reports a single worker.
-        prop_assert_eq!(stats.shards(), fj_par::shard_ranges(len, shards).len().max(1));
+        let stats = profiled_run(len, shards, workers, item_cost);
+        // One entry per non-empty shard: zero items report zero workers
+        // (the efficiency report floors its shard count at 1).
+        prop_assert_eq!(stats.shards(), fj_par::shard_ranges(len, shards).len());
         prop_assert_eq!(stats.items(), len as u64);
         for w in &stats.workers {
-            let accounted = w.spawn_wait_us + w.busy_us + w.join_wait_us;
-            let skew = accounted.abs_diff(stats.wall_us);
-            prop_assert!(
-                skew <= 4,
-                "shard {}: {} + {} + {} = {accounted} vs wall {} (skew {skew})",
-                w.shard, w.spawn_wait_us, w.busy_us, w.join_wait_us, stats.wall_us
+            prop_assert_eq!(
+                w.spawn_wait_us + w.busy_us + w.join_wait_us,
+                stats.wall_us,
+                "shard {}: {} + {} + {}",
+                w.shard, w.spawn_wait_us, w.busy_us, w.join_wait_us
             );
         }
-        // Total busy never exceeds the available worker-time.
-        prop_assert!(stats.busy_us() <= stats.wall_us * stats.shards().max(1) as u64);
+        prop_assert!(stats.busy_us() <= stats.wall_us * stats.shards() as u64);
     }
 
     /// Report invariants hold for arbitrary folded stats: efficiency and

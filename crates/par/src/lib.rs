@@ -8,31 +8,28 @@
 //! determinism contract: results must be a pure function of seeds and the
 //! sim clock, never of thread scheduling.
 //!
-//! This crate provides the one audited concurrency seam of the workspace,
-//! in two flavors sharing one contract:
+//! This crate provides the one audited concurrency seam of the workspace:
+//! the [`WorkerPool`], the workspace's only executor. A pool's threads
+//! are spawned once and parked on channels between dispatches, so a
+//! chunked streaming run pays no spawn/join tax per chunk; a pool of 0
+//! or 1 workers spawns no thread and runs every job inline on the
+//! submitting thread (see `pool.rs` for the ownership ping-pong design).
 //!
-//! - **Scoped combinators** ([`shard_map`], [`try_shard_map_mut`], …)
-//!   built on [`std::thread::scope`]: spawn, map, join — right for
-//!   one-shot calls where borrowing the caller's slice matters.
-//! - **A persistent [`WorkerPool`]** whose threads are spawned once per
-//!   run and parked on channels between dispatches — right for chunked
-//!   streaming where a scoped pool would pay the spawn/join tax per
-//!   chunk (see `pool.rs` for the ownership ping-pong design).
+//! [`WorkerPool::submit`] splits an **indexed** workload into contiguous
+//! shards and reduces the per-item results in **stable index order**.
+//! Whatever the shard or worker count, the returned vector is
+//! element-for-element identical to the sequential map; threads only
+//! decide *when* each item runs, never *what* the caller observes.
+//! Callers keep cross-item effects (telemetry, floating-point
+//! accumulation) out of the parallel closure and apply them during their
+//! own in-order reduction — see `fj_isp::trace` for the canonical
+//! pattern.
 //!
-//! Both split an **indexed** workload into contiguous shards and reduce
-//! the per-item results in **stable index order**. Whatever the shard
-//! count, the returned vector is element-for-element identical to the
-//! sequential map; threads only decide *when* each item runs, never
-//! *what* the caller observes. Callers keep cross-item effects
-//! (telemetry, floating-point accumulation) out of the parallel closure
-//! and apply them during their own in-order reduction — see
-//! `fj_isp::trace` for the canonical pattern.
-//!
-//! Zero dependencies, no unsafe, no locks, no atomics: scoped workers
-//! borrow disjoint `&mut` chunks and are joined before returning; pool
-//! workers receive owned shards over [`std::sync::mpsc`] channels and
-//! hand them back the same way. Panics propagate in both flavors with
-//! the lowest panicking shard winning deterministically.
+//! Zero dependencies, no unsafe, no locks, no atomics: workers receive
+//! owned shards over [`std::sync::mpsc`] channels and hand them back the
+//! same way. A panic is captured per item and reported with the lowest
+//! panicking shard winning deterministically, and every item comes back
+//! to the caller either way.
 
 use std::num::NonZeroUsize;
 use std::ops::Range;
@@ -90,56 +87,15 @@ pub fn shard_ranges(len: usize, shards: usize) -> Vec<Range<usize>> {
     ranges
 }
 
-/// Maps `f` over `items` with read access, splitting the index space
-/// across at most `shards` scoped workers, and returns the results in
-/// index order — bit-identical to `items.iter().enumerate().map(f)` for
-/// any shard count. `shards <= 1` (or a single item) runs inline on the
-/// calling thread with no pool at all.
-pub fn shard_map<T, R, F>(items: &[T], shards: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let ranges = shard_ranges(items.len(), shards);
-    if ranges.len() <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|range| {
-                let f = &f;
-                scope.spawn(move || range.map(|i| f(i, &items[i])).collect::<Vec<R>>())
-            })
-            .collect();
-        // Stable index-order reduction: shards were carved low-to-high,
-        // so joining in spawn order concatenates back to 0..len.
-        handles.into_iter().flat_map(join_propagating).collect()
-    })
-}
-
-/// [`shard_map`] with exclusive access: workers borrow disjoint `&mut`
-/// chunks of `items`, so per-item mutation parallelises without locks.
-/// Results are returned in index order, identical for any shard count.
-pub fn shard_map_mut<T, R, F>(items: &mut [T], shards: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    try_shard_map_mut(items, shards, f).unwrap_or_else(|p| p.resume())
-}
-
 /// A captured worker panic: which shard failed, and the original payload.
 ///
 /// Observability hooks (the flight recorder) inspect the shard index and
 /// then [`ShardPanic::resume`] so the panic still reaches the caller
 /// exactly as a sequential run's would.
 pub struct ShardPanic {
-    /// Index of the shard whose worker panicked (0 for inline runs).
+    /// Index of the lowest shard whose closure panicked.
     pub shard: usize,
-    /// The payload [`std::thread::JoinHandle::join`] returned.
+    /// The payload [`std::panic::catch_unwind`] captured.
     pub payload: Box<dyn std::any::Any + Send + 'static>,
 }
 
@@ -158,124 +114,59 @@ impl std::fmt::Debug for ShardPanic {
     }
 }
 
-/// [`shard_map_mut`] that surfaces a worker panic as a [`ShardPanic`]
-/// instead of unwinding, so callers can record crash context (dump a
-/// flight recorder) before re-raising. Every worker is still joined
-/// before returning; when several panic, the lowest shard index wins —
-/// deterministic for a deterministic panic site.
-pub fn try_shard_map_mut<T, R, F>(
-    items: &mut [T],
-    shards: usize,
-    f: F,
-) -> Result<Vec<R>, ShardPanic>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    let ranges = shard_ranges(items.len(), shards);
-    if ranges.len() <= 1 {
-        return std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect()
-        }))
-        .map_err(|payload| ShardPanic { shard: 0, payload });
-    }
-    std::thread::scope(|scope| {
-        let mut rest = items;
-        let mut handles = Vec::with_capacity(ranges.len());
-        for range in ranges {
-            let (chunk, tail) = rest.split_at_mut(range.len());
-            rest = tail;
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                chunk
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(k, t)| f(range.start + k, t))
-                    .collect::<Vec<R>>()
-            }));
-        }
-        // Join every worker before reporting, so no shard outlives the
-        // call; the lowest panicking shard index wins deterministically.
-        let mut out = Vec::new();
-        let mut first_panic: Option<ShardPanic> = None;
-        for (shard, handle) in handles.into_iter().enumerate() {
-            match handle.join() {
-                Ok(v) => out.extend(v),
-                Err(payload) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(ShardPanic { shard, payload });
-                    }
-                }
-            }
-        }
-        match first_panic {
-            None => Ok(out),
-            Some(p) => Err(p),
-        }
-    })
-}
-
-/// Joins a worker, re-raising its panic on the calling thread so a shard
-/// failure is indistinguishable from the same panic in a sequential run.
-fn join_propagating<R>(handle: std::thread::ScopedJoinHandle<'_, Vec<R>>) -> Vec<R> {
-    match handle.join() {
-        Ok(v) => v,
-        Err(payload) => std::panic::resume_unwind(payload),
-    }
-}
-
-/// Utilization of a single worker in one profiled sharded call.
+/// Utilization of one shard in one [`WorkerPool::submit`] dispatch.
 ///
-/// The three duration fields partition the call's wall interval as seen
-/// by this worker: `spawn_wait_us` (call start → the worker's first
-/// instruction), `busy_us` (the worker's item loop), and `join_wait_us`
-/// (the worker's last instruction → the call's return, i.e. time spent
-/// waiting for sibling shards and the join loop). By construction
+/// The three duration fields partition the dispatch's wall interval as
+/// seen by this shard: `spawn_wait_us` (dispatch entry → the shard's
+/// first item: channel send plus queueing behind earlier shards on the
+/// same worker), `busy_us` (the shard's item loop), and `join_wait_us`
+/// (the shard's last item → `wait` returning, i.e. time spent waiting
+/// for sibling shards). By construction
 /// `spawn_wait_us + busy_us + join_wait_us == ShardStats::wall_us` up to
 /// clock granularity — the invariant the fj-obs proptests pin down.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerStats {
-    /// Shard index this worker executed (0 for inline runs).
+    /// Shard index.
     pub shard: usize,
-    /// Items the worker mapped.
+    /// Items the shard mapped.
     pub items: u64,
-    /// Clock ticks between call entry and the worker starting.
+    /// Clock ticks between dispatch entry and the shard starting.
     pub spawn_wait_us: u64,
-    /// Clock ticks the worker spent inside its item loop.
+    /// Clock ticks the shard spent inside its item loop.
     pub busy_us: u64,
-    /// Clock ticks between the worker finishing and the call returning.
+    /// Clock ticks between the shard finishing and `wait` returning.
     pub join_wait_us: u64,
 }
 
-/// Utilization of one whole profiled sharded call.
+/// Utilization of one whole dispatch.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardStats {
-    /// Clock ticks for the whole call (spawn, map, join).
+    /// Clock ticks from dispatch entry to `wait` returning.
     pub wall_us: u64,
     /// One entry per non-empty shard, in shard order.
     pub workers: Vec<WorkerStats>,
 }
 
 impl ShardStats {
-    /// Worker count that actually ran (≤ the requested shard count).
+    /// Shards that actually ran (≤ the requested shard count; 0 for an
+    /// empty dispatch).
     pub fn shards(&self) -> usize {
         self.workers.len()
     }
 
-    /// Total busy time across workers.
+    /// Total busy time across shards.
     pub fn busy_us(&self) -> u64 {
         self.workers.iter().map(|w| w.busy_us).sum()
     }
 
-    /// Busy time of the slowest worker — the parallel critical path.
+    /// Busy time of the slowest shard — the parallel critical path.
     pub fn max_busy_us(&self) -> u64 {
         self.workers.iter().map(|w| w.busy_us).max().unwrap_or(0)
     }
 
-    /// Offset from call entry to the *last* worker finishing its item
-    /// loop: `max(spawn_wait + busy)`. For a pipelined pool dispatch
-    /// this is when the simulate phase truly ended, which the engine's
+    /// Offset from dispatch entry to the *last* shard finishing its item
+    /// loop: `max(spawn_wait + busy)`. For a pipelined dispatch this is
+    /// when the simulate phase truly ended, which the engine's
     /// merge-overlap accounting needs.
     pub fn critical_end_us(&self) -> u64 {
         self.workers
@@ -285,134 +176,25 @@ impl ShardStats {
             .unwrap_or(0)
     }
 
-    /// Total items mapped across workers.
+    /// Total items mapped across shards.
     pub fn items(&self) -> u64 {
         self.workers.iter().map(|w| w.items).sum()
     }
 
-    /// Total spawn wait across workers.
+    /// Total spawn wait across shards.
     pub fn spawn_wait_us(&self) -> u64 {
         self.workers.iter().map(|w| w.spawn_wait_us).sum()
     }
 
-    /// Total join wait across workers.
+    /// Total join wait across shards.
     pub fn join_wait_us(&self) -> u64 {
         self.workers.iter().map(|w| w.join_wait_us).sum()
     }
 }
 
-/// [`try_shard_map_mut`] that additionally measures per-worker
-/// utilization through a caller-supplied monotonic clock.
-///
-/// `clock` is sampled at call entry/exit and around each worker's item
-/// loop; units are whatever the closure returns (the engine passes
-/// `WallEpoch::elapsed_micros`, keeping this crate zero-dependency while
-/// the wall clock stays behind fj-telemetry's audited seam). The mapped
-/// results are bit-identical to the unprofiled call — profiling never
-/// reorders or alters work, it only timestamps it. On a worker panic the
-/// partial stats are discarded and the error matches
-/// [`try_shard_map_mut`] exactly.
-pub fn try_shard_map_mut_profiled<T, R, F, C>(
-    items: &mut [T],
-    shards: usize,
-    clock: &C,
-    f: F,
-) -> Result<(Vec<R>, ShardStats), ShardPanic>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-    C: Fn() -> u64 + Sync,
-{
-    let entered = clock();
-    let ranges = shard_ranges(items.len(), shards);
-    if ranges.len() <= 1 {
-        let n = items.len() as u64;
-        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect()
-        }))
-        .map_err(|payload| ShardPanic { shard: 0, payload })?;
-        let wall = clock().saturating_sub(entered);
-        let worker = WorkerStats {
-            shard: 0,
-            items: n,
-            spawn_wait_us: 0,
-            busy_us: wall,
-            join_wait_us: 0,
-        };
-        return Ok((
-            out,
-            ShardStats {
-                wall_us: wall,
-                workers: vec![worker],
-            },
-        ));
-    }
-    std::thread::scope(|scope| {
-        let mut rest = items;
-        let mut handles = Vec::with_capacity(ranges.len());
-        let mut sizes = Vec::with_capacity(ranges.len());
-        for range in ranges {
-            let (chunk, tail) = rest.split_at_mut(range.len());
-            rest = tail;
-            sizes.push(range.len() as u64);
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                let started = clock();
-                let out = chunk
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(k, t)| f(range.start + k, t))
-                    .collect::<Vec<R>>();
-                (out, started, clock())
-            }));
-        }
-        // Join every worker before reporting, mirroring the unprofiled
-        // call; the lowest panicking shard index wins deterministically.
-        let mut out = Vec::new();
-        let mut stamps = Vec::with_capacity(handles.len());
-        let mut first_panic: Option<ShardPanic> = None;
-        for (shard, handle) in handles.into_iter().enumerate() {
-            match handle.join() {
-                Ok((v, started, ended)) => {
-                    out.extend(v);
-                    stamps.push((shard, started, ended));
-                }
-                Err(payload) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(ShardPanic { shard, payload });
-                    }
-                }
-            }
-        }
-        if let Some(p) = first_panic {
-            return Err(p);
-        }
-        let returned = clock();
-        let workers = stamps
-            .into_iter()
-            .map(|(shard, started, ended)| WorkerStats {
-                shard,
-                items: sizes.get(shard).copied().unwrap_or(0),
-                spawn_wait_us: started.saturating_sub(entered),
-                busy_us: ended.saturating_sub(started),
-                join_wait_us: returned.saturating_sub(ended),
-            })
-            .collect();
-        Ok((
-            out,
-            ShardStats {
-                wall_us: returned.saturating_sub(entered),
-                workers,
-            },
-        ))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn ranges_cover_exactly_once() {
@@ -430,153 +212,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn map_matches_sequential_for_any_shard_count() {
-        let items: Vec<u64> = (0..501).collect();
-        let seq: Vec<u64> = items
-            .iter()
-            .enumerate()
-            .map(|(i, v)| i as u64 * v)
-            .collect();
-        for shards in [1, 2, 3, 4, 7, 16, 1000] {
-            let par = shard_map(&items, shards, |i, v| i as u64 * v);
-            assert_eq!(par, seq, "shards {shards}");
-        }
-    }
-
-    #[test]
-    fn map_mut_mutates_every_item_in_order() {
-        let mut items: Vec<i64> = vec![0; 97];
-        let out = shard_map_mut(&mut items, 4, |i, v| {
-            *v = i as i64 * 2;
-            i as i64
-        });
-        assert_eq!(out, (0..97).collect::<Vec<i64>>());
-        for (i, v) in items.iter().enumerate() {
-            assert_eq!(*v, i as i64 * 2);
-        }
-    }
-
-    #[test]
-    fn every_item_runs_exactly_once() {
-        let hits = AtomicUsize::new(0);
-        let items = vec![(); 64];
-        let _ = shard_map(&items, 8, |_, ()| hits.fetch_add(1, Ordering::Relaxed));
-        assert_eq!(hits.load(Ordering::Relaxed), 64);
-    }
-
-    #[test]
-    fn empty_and_single_inputs() {
-        let empty: Vec<u8> = vec![];
-        assert!(shard_map(&empty, 4, |_, v| *v).is_empty());
-        assert_eq!(shard_map(&[9u8], 4, |i, v| (i, *v)), vec![(0, 9)]);
-    }
-
-    #[test]
-    fn worker_panic_propagates() {
-        let items: Vec<usize> = (0..32).collect();
-        let result = std::panic::catch_unwind(|| {
-            shard_map(&items, 4, |_, v| {
-                assert!(*v != 17, "injected");
-                *v
-            })
-        });
-        assert!(result.is_err(), "panic in a shard must reach the caller");
-    }
-
-    #[test]
-    fn try_map_mut_matches_map_mut_on_success() {
-        let mut a: Vec<i64> = vec![0; 53];
-        let mut b: Vec<i64> = vec![0; 53];
-        let out_a = shard_map_mut(&mut a, 4, |i, v| {
-            *v = i as i64;
-            i
-        });
-        let out_b = try_shard_map_mut(&mut b, 4, |i, v| {
-            *v = i as i64;
-            i
-        })
-        .expect("no panic");
-        assert_eq!(out_a, out_b);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn try_map_mut_reports_the_lowest_panicking_shard() {
-        // 32 items over 4 shards → shard 2 covers 16..24. Panic in items
-        // 20 and 5 (shard 0): shard 0 must win deterministically.
-        let mut items: Vec<usize> = (0..32).collect();
-        let err = try_shard_map_mut(&mut items, 4, |i, _| {
-            assert!(i != 20 && i != 5, "injected at {i}");
-            i
-        })
-        .expect_err("panics must surface");
-        assert_eq!(err.shard, 0);
-        let msg = err
-            .payload
-            .downcast_ref::<String>()
-            .expect("assert message");
-        assert!(msg.contains("injected"), "payload preserved: {msg}");
-    }
-
-    #[test]
-    fn try_map_mut_captures_inline_panics_as_shard_zero() {
-        let mut items = vec![1u8];
-        let err = try_shard_map_mut(&mut items, 1, |_, v| -> u8 {
-            assert!(*v == 0, "inline injected for {v}");
-            0
-        })
-        .expect_err("inline panic surfaces too");
-        assert_eq!(err.shard, 0);
-        assert!(format!("{err:?}").contains("shard"));
-    }
-
-    #[test]
-    fn profiled_map_matches_unprofiled_and_accounts_wall() {
-        let tick = AtomicUsize::new(0);
-        let clock = || tick.fetch_add(1, Ordering::Relaxed) as u64;
-        for shards in [1usize, 2, 3, 4, 8] {
-            let mut a: Vec<i64> = vec![0; 53];
-            let mut b: Vec<i64> = vec![0; 53];
-            let plain = try_shard_map_mut(&mut a, shards, |i, v| {
-                *v = i as i64;
-                i
-            })
-            .expect("no panic");
-            let (profiled, stats) = try_shard_map_mut_profiled(&mut b, shards, &clock, |i, v| {
-                *v = i as i64;
-                i
-            })
-            .expect("no panic");
-            assert_eq!(plain, profiled, "shards {shards}");
-            assert_eq!(a, b, "shards {shards}");
-            assert_eq!(stats.shards(), shards);
-            assert_eq!(stats.items(), 53);
-            // The fake clock is strictly monotonic, so each worker's
-            // three segments partition the call wall exactly.
-            for w in &stats.workers {
-                assert_eq!(
-                    w.spawn_wait_us + w.busy_us + w.join_wait_us,
-                    stats.wall_us,
-                    "shard {} of {shards}",
-                    w.shard
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn profiled_map_surfaces_panics_like_unprofiled() {
-        let clock = || 0u64;
-        let mut items: Vec<usize> = (0..32).collect();
-        let err = try_shard_map_mut_profiled(&mut items, 4, &clock, |i, _| {
-            assert!(i != 20, "injected at {i}");
-            i
-        })
-        .expect_err("panics must surface");
-        assert_eq!(err.shard, 2);
     }
 
     #[test]

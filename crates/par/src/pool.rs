@@ -1,30 +1,29 @@
-//! Persistent worker pool — thread reuse across sharded calls.
+//! The worker pool — fj-par's one executor.
 //!
-//! The scoped combinators in the crate root spawn and join OS threads on
-//! every call. That is fine for one-shot maps, but the streaming engine
-//! issues one sharded call *per chunk*: on a 50k-router, multi-year run
-//! the spawn/join tax is paid thousands of times and the profiler sees it
-//! as linearly growing spawn-wait. [`WorkerPool`] spawns its threads once
-//! per run and parks them on channels between chunks; dispatching a chunk
-//! is a handful of channel sends.
+//! [`WorkerPool`] spawns its threads once and parks them on channels
+//! between dispatches, so a streaming run that issues one sharded call
+//! *per chunk* pays no spawn/join tax per chunk: dispatching is a
+//! handful of channel sends. A pool of 0 or 1 workers spawns no thread
+//! at all and runs each job inline inside [`WorkerPool::submit`].
 //!
-//! The pool keeps every semantic of the scoped API:
+//! Every pool, inline or threaded, keeps one contract:
 //!
 //! - **Deterministic reduction.** Items are carved into contiguous shards
 //!   by [`shard_ranges`](crate::shard_ranges) and results are reassembled
 //!   in ascending shard order, so the output vector is element-for-element
 //!   identical to the sequential map for any shard or worker count.
-//! - **Panic capture.** Worker closures run under per-item
-//!   `catch_unwind`; a panic is reported as a [`ShardPanic`] with the
-//!   lowest panicking shard winning, exactly like
-//!   [`try_shard_map_mut`](crate::try_shard_map_mut). Worker threads
-//!   never unwind, so a panicked chunk leaves the pool fully serviceable
-//!   for the supervised retry.
+//! - **Panic capture.** Closures run under per-item `catch_unwind`; a
+//!   panic is reported as a [`ShardPanic`] with the lowest panicking
+//!   shard winning. Worker threads never unwind, so a panicked chunk
+//!   leaves the pool fully serviceable for the supervised retry.
 //! - **Ownership ping-pong.** Because pool threads are `'static` they
 //!   cannot borrow the caller's slice; [`WorkerPool::submit`] takes the
 //!   items *by value*, ships each shard's sub-vector to a worker, and
 //!   [`Pending::wait`] hands every item back — including the items of a
 //!   panicked shard, which the engine needs for supervised state restore.
+//! - **One clock.** Every dispatch stamps its shards through a
+//!   caller-supplied clock; a caller that does not profile passes one
+//!   that returns 0.
 //!
 //! Concurrency inventory (FJ09): the pool is built exclusively on
 //! [`std::sync::mpsc`] channels — no atomics, no locks, no unsafe. Jobs
@@ -43,7 +42,7 @@ use crate::{shard_ranges, ShardPanic, ShardStats, WorkerStats};
 /// A unit of work shipped to a pool thread.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// A shared monotonic clock sampled around a profiled dispatch.
+/// The monotonic clock a dispatch is stamped with.
 type SharedClock = Arc<dyn Fn() -> u64 + Send + Sync>;
 
 /// What one shard sends back when its job finishes (or panics).
@@ -58,7 +57,7 @@ struct ShardDone<T, R> {
     ended_us: u64,
 }
 
-/// A persistent pool of named worker threads (`fj-par-worker-{n}`).
+/// A pool of named worker threads (`fj-par-worker-{n}`).
 ///
 /// Threads are spawned once in [`WorkerPool::new`] and parked on their
 /// job channels until [`WorkerPool::submit`] feeds them; dropping the
@@ -72,9 +71,10 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns `workers.max(1)` parked threads.
+    /// Spawns `workers` parked threads; `workers <= 1` spawns none, and
+    /// every job then runs inline on the submitting thread.
     pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
+        let workers = if workers <= 1 { 0 } else { workers };
         let mut senders = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for n in 0..workers {
@@ -99,35 +99,24 @@ impl WorkerPool {
         WorkerPool { senders, handles }
     }
 
-    /// Worker threads actually running (0 only if the OS refused all
-    /// spawns, in which case jobs run inline on the submitting thread).
+    /// Worker threads running (0 for an inline pool).
     pub fn workers(&self) -> usize {
         self.handles.len()
     }
 
     /// Dispatches `f` over `items` split into at most `shards` contiguous
-    /// shards, returning immediately with a [`Pending`] handle. The
-    /// mapped results observed through [`Pending::wait`] are
-    /// bit-identical to [`try_shard_map_mut`](crate::try_shard_map_mut)
-    /// over the same items for any shard or worker count.
-    pub fn submit<T, R, F>(&self, items: Vec<T>, shards: usize, f: F) -> Pending<T, R>
-    where
-        T: Send + 'static,
-        R: Send + 'static,
-        F: Fn(usize, &mut T) -> R + Send + Sync + 'static,
-    {
-        self.submit_inner(items, shards, Arc::new(f), None)
-    }
-
-    /// [`WorkerPool::submit`] with per-worker utilization measured
-    /// through a caller-supplied monotonic clock, mirroring
-    /// [`try_shard_map_mut_profiled`](crate::try_shard_map_mut_profiled):
-    /// `spawn_wait` covers dispatch entry → job start (i.e. channel send
-    /// plus queue wait behind earlier shards on the same worker),
-    /// `busy` the item loop, and `join_wait` job end → `wait` returning.
-    pub fn submit_profiled<T, R, F, C>(
+    /// shards, returning a [`Pending`] handle at once on a threaded pool;
+    /// an inline pool has already run every shard when it returns.
+    ///
+    /// `clock` stamps each shard's start and end: `spawn_wait` covers
+    /// dispatch entry → shard start (channel send plus queue wait behind
+    /// earlier shards on the same worker), `busy` the item loop, and
+    /// `join_wait` shard end → `wait` returning. An inline pool runs its
+    /// shards back to back, each starting at the stamp where the one
+    /// before it ended, so its first shard reports exactly zero wait.
+    pub fn submit<T, R, F, C>(
         &self,
-        items: Vec<T>,
+        mut items: Vec<T>,
         shards: usize,
         clock: C,
         f: F,
@@ -139,79 +128,48 @@ impl WorkerPool {
         C: Fn() -> u64 + Send + Sync + 'static,
     {
         let clock: SharedClock = Arc::new(clock);
-        self.submit_inner(items, shards, Arc::new(f), Some(clock))
-    }
-
-    fn submit_inner<T, R, F>(
-        &self,
-        mut items: Vec<T>,
-        shards: usize,
-        f: Arc<F>,
-        clock: Option<SharedClock>,
-    ) -> Pending<T, R>
-    where
-        T: Send + 'static,
-        R: Send + 'static,
-        F: Fn(usize, &mut T) -> R + Send + Sync + 'static,
-    {
-        let entered_us = clock.as_ref().map_or(0, |c| c());
+        let f = Arc::new(f);
+        let entered_us = clock();
         let ranges = shard_ranges(items.len(), shards);
         // Carve the item vector into owned per-shard parts without
         // shifting: split the tail off back-to-front, then restore order.
-        let mut parts: Vec<(usize, std::ops::Range<usize>, Vec<T>)> = Vec::new();
+        let mut parts: Vec<(usize, usize, Vec<T>)> = Vec::with_capacity(ranges.len());
         for (shard, range) in ranges.iter().enumerate().rev() {
-            let part = items.split_off(range.start);
-            parts.push((shard, range.clone(), part));
+            parts.push((shard, range.start, items.split_off(range.start)));
         }
         parts.reverse();
         let (done_tx, done_rx) = channel::<ShardDone<T, R>>();
         let jobs = parts.len();
-        for (shard, range, part) in parts {
+        let mut inline_us = entered_us;
+        for (shard, first, part) in parts {
             let tx = done_tx.clone();
             let f = Arc::clone(&f);
-            let clock = clock.clone();
-            let job: Job = Box::new(move || {
-                let started_us = clock.as_ref().map_or(0, |c| c());
-                let mut part = part;
-                let mut out = Vec::with_capacity(part.len());
-                let mut panic = None;
-                for (k, item) in part.iter_mut().enumerate() {
-                    // Per-item capture keeps the worker thread alive and
-                    // the shard's items recoverable after a panic.
-                    match catch_unwind(AssertUnwindSafe(|| f(range.start + k, item))) {
-                        Ok(r) => out.push(r),
-                        Err(payload) => {
-                            panic = Some(payload);
-                            break;
-                        }
-                    }
-                }
-                let ended_us = clock.as_ref().map_or(0, |c| c());
+            let job_clock = Arc::clone(&clock);
+            let run = move |started_us: u64| {
+                let done = run_shard(shard, first, part, &*f, started_us, &*job_clock);
+                let ended_us = done.ended_us;
                 // The receiver may be gone if the Pending was dropped;
                 // the work is then simply discarded.
                 // fj-lint: allow(FJ05) — send into a possibly-closed
                 // result channel: the only failure is "caller abandoned
                 // the dispatch", and the caller owns that choice.
-                let _ = tx.send(ShardDone {
-                    shard,
-                    items: part,
-                    out,
-                    panic,
-                    started_us,
-                    ended_us,
-                });
-            });
+                let _ = tx.send(done);
+                ended_us
+            };
             // Round-robin by shard index: deterministic placement, and a
             // worker drains its queue in ascending shard order.
             match self.senders.get(shard % self.senders.len().max(1)) {
-                Some(tx) => {
-                    if let Err(send_err) = tx.send(job) {
+                Some(worker) => {
+                    let stamp = Arc::clone(&clock);
+                    if let Err(send_err) = worker.send(Box::new(move || {
+                        run(stamp());
+                    })) {
                         // Worker thread gone (cannot happen while the
                         // pool is alive, but stay total): run inline.
                         (send_err.0)();
                     }
                 }
-                None => job(),
+                None => inline_us = run(inline_us),
             }
         }
         Pending {
@@ -223,11 +181,41 @@ impl WorkerPool {
     }
 }
 
+/// Maps `f` over one shard's items, capturing a panic per item so the
+/// worker thread stays alive and the shard's items stay recoverable.
+fn run_shard<T, R, F: Fn(usize, &mut T) -> R>(
+    shard: usize,
+    first: usize,
+    mut items: Vec<T>,
+    f: &F,
+    started_us: u64,
+    clock: &(dyn Fn() -> u64 + Send + Sync),
+) -> ShardDone<T, R> {
+    let mut out = Vec::with_capacity(items.len());
+    let mut panic = None;
+    for (k, item) in items.iter_mut().enumerate() {
+        match catch_unwind(AssertUnwindSafe(|| f(first + k, item))) {
+            Ok(r) => out.push(r),
+            Err(payload) => {
+                panic = Some(payload);
+                break;
+            }
+        }
+    }
+    ShardDone {
+        shard,
+        items,
+        out,
+        panic,
+        started_us,
+        ended_us: clock(),
+    }
+}
+
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         // Closing the channels ends each worker's recv loop; join so no
-        // thread outlives the pool (structured concurrency, as with the
-        // scoped API).
+        // thread outlives the pool (structured concurrency).
         self.senders.clear();
         for handle in self.handles.drain(..) {
             // fj-lint: allow(FJ05) — join on teardown: workers never
@@ -245,7 +233,7 @@ pub struct Pending<T, R> {
     rx: Receiver<ShardDone<T, R>>,
     jobs: usize,
     entered_us: u64,
-    clock: Option<SharedClock>,
+    clock: SharedClock,
 }
 
 impl<T, R> Pending<T, R> {
@@ -268,7 +256,7 @@ impl<T, R> Pending<T, R> {
                 Err(_) => break,
             }
         }
-        let returned_us = self.clock.as_ref().map_or(0, |c| c());
+        let returned_us = (self.clock)();
         let mut items = Vec::new();
         let mut out = Vec::new();
         let mut workers = Vec::with_capacity(self.jobs);
@@ -303,10 +291,6 @@ impl<T, R> Pending<T, R> {
                 }
             }
         }
-        let stats = self.clock.as_ref().map(|_| ShardStats {
-            wall_us: returned_us.saturating_sub(self.entered_us),
-            workers,
-        });
         let result = match first_panic {
             None => Ok(out),
             Some(p) => Err(p),
@@ -314,7 +298,10 @@ impl<T, R> Pending<T, R> {
         Completed {
             items,
             result,
-            stats,
+            stats: ShardStats {
+                wall_us: returned_us.saturating_sub(self.entered_us),
+                workers,
+            },
         }
     }
 }
@@ -328,8 +315,8 @@ pub struct Completed<T, R> {
     pub items: Vec<T>,
     /// Index-ordered results, or the lowest panicking shard's panic.
     pub result: Result<Vec<R>, ShardPanic>,
-    /// Per-worker utilization; `Some` exactly for profiled dispatches.
-    pub stats: Option<ShardStats>,
+    /// Per-shard utilization, stamped by the dispatch's clock.
+    pub stats: ShardStats,
 }
 
 #[cfg(test)]
@@ -338,168 +325,69 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
-    fn pool_map_matches_sequential_for_any_shard_and_worker_count() {
-        let seq: Vec<u64> = (0..257u64).map(|i| i * 3 + 1).collect();
-        for workers in [1usize, 2, 4] {
-            let pool = WorkerPool::new(workers);
-            for shards in [1usize, 2, 3, 7, 16, 257, 1024] {
-                let items: Vec<u64> = (0..257).collect();
-                let done = pool.submit(items, shards, |i, v: &mut u64| {
-                    *v += 1;
-                    i as u64 * 3 + *v
-                });
-                let completed = done.wait();
-                let out = completed.result.expect("no panic");
-                assert_eq!(out.len(), 257, "workers {workers} shards {shards}");
-                assert_eq!(
-                    out,
-                    (0..257u64).map(|i| i * 4 + 1).collect::<Vec<_>>(),
-                    "workers {workers} shards {shards}"
-                );
-                assert_eq!(
-                    completed.items,
-                    (1..258u64).collect::<Vec<_>>(),
-                    "items return mutated, in order"
-                );
-                assert_eq!(seq.len(), out.len());
-            }
-        }
-    }
-
-    #[test]
     fn empty_dispatch_completes_immediately() {
         let pool = WorkerPool::new(2);
-        let done = pool.submit(Vec::<u8>::new(), 4, |i, v| (i, *v)).wait();
+        let done = pool
+            .submit(Vec::<u8>::new(), 4, || 0, |i, v| (i, *v))
+            .wait();
         assert!(done.items.is_empty());
         assert!(done.result.expect("no panic").is_empty());
-        assert!(done.stats.is_none());
+        assert_eq!(done.stats.shards(), 0);
     }
 
     #[test]
-    fn more_shards_than_items_degrades_to_one_item_shards() {
-        let pool = WorkerPool::new(3);
-        let done = pool.submit(vec![10u8, 20, 30], 1024, |i, v| (i, *v)).wait();
-        assert_eq!(
-            done.result.expect("no panic"),
-            vec![(0, 10), (1, 20), (2, 30)]
-        );
-        assert_eq!(done.items, vec![10, 20, 30]);
-    }
-
-    #[test]
-    fn single_shard_runs_all_items_on_one_worker() {
-        let pool = WorkerPool::new(4);
-        let hits = Arc::new(AtomicUsize::new(0));
-        let h = Arc::clone(&hits);
-        let done = pool
-            .submit((0..64u64).collect(), 1, move |_, v: &mut u64| {
-                h.fetch_add(1, Ordering::Relaxed);
-                *v
-            })
-            .wait();
-        assert_eq!(hits.load(Ordering::Relaxed), 64);
-        assert_eq!(done.result.expect("no panic").len(), 64);
-    }
-
-    #[test]
-    fn lowest_panicking_shard_wins_and_items_survive() {
-        // 32 items over 4 shards: panic at 20 (shard 2) and 5 (shard 0)
-        // — shard 0 must win, and every item must come back mutated up
-        // to (but excluding) its shard's panic site.
-        let pool = WorkerPool::new(2);
-        let done = pool
-            .submit((0..32usize).collect(), 4, |i, v: &mut usize| {
-                *v += 100;
-                assert!(i != 20 && i != 5, "injected at {i}");
-                i
-            })
-            .wait();
-        let err = done.result.expect_err("panics must surface");
-        assert_eq!(err.shard, 0);
-        let msg = err
-            .payload
-            .downcast_ref::<String>()
-            .expect("assert message");
-        assert!(msg.contains("injected"), "payload preserved: {msg}");
-        // All 32 items return, in order; non-panicked ones mutated.
-        assert_eq!(done.items.len(), 32);
-        assert_eq!(done.items[0], 100);
-        assert_eq!(done.items[31], 131);
+    fn inline_pool_runs_every_job_on_the_submitting_thread() {
+        for workers in [0, 1] {
+            let pool = WorkerPool::new(workers);
+            assert_eq!(pool.workers(), 0, "no thread for {workers} workers");
+            let caller = std::thread::current().id();
+            let hits = Arc::new(AtomicUsize::new(0));
+            let h = Arc::clone(&hits);
+            let pending = pool.submit(
+                (0..64u64).collect(),
+                4,
+                || 0,
+                move |_, _| {
+                    h.fetch_add(1, Ordering::SeqCst);
+                    std::thread::current().id() == caller
+                },
+            );
+            // Every shard ran inside submit, before wait.
+            assert_eq!(hits.load(Ordering::SeqCst), 64);
+            let done = pending.wait();
+            assert!(done.result.expect("no panic").into_iter().all(|here| here));
+        }
     }
 
     #[test]
     fn pool_survives_a_panicked_chunk_and_serves_the_next() {
         let pool = WorkerPool::new(2);
         let first = pool
-            .submit((0..16usize).collect(), 4, |i, _: &mut usize| {
-                assert!(i != 3, "injected");
-                i
-            })
+            .submit(
+                (0..16usize).collect(),
+                4,
+                || 0,
+                |i, _: &mut usize| {
+                    assert!(i != 3, "injected");
+                    i
+                },
+            )
             .wait();
         assert!(first.result.is_err());
         // Same pool, same threads: the retry must succeed.
         let second = pool
-            .submit(first.items, 4, |i, v: &mut usize| i + *v)
+            .submit(first.items, 4, || 0, |i, v: &mut usize| i + *v)
             .wait();
         assert_eq!(second.result.expect("retry clean").len(), 16);
         assert_eq!(pool.workers(), 2);
     }
 
     #[test]
-    fn profiled_dispatch_partitions_wall_per_worker() {
-        let tick = Arc::new(AtomicUsize::new(0));
-        let t = Arc::clone(&tick);
-        let pool = WorkerPool::new(2);
-        let done = pool
-            .submit_profiled(
-                (0..53i64).collect(),
-                4,
-                move || t.fetch_add(1, Ordering::Relaxed) as u64,
-                |i, v: &mut i64| {
-                    *v = i as i64;
-                    i
-                },
-            )
-            .wait();
-        let out = done.result.expect("no panic");
-        assert_eq!(out, (0..53).collect::<Vec<usize>>());
-        let stats = done.stats.expect("profiled");
-        assert_eq!(stats.shards(), 4);
-        assert_eq!(stats.items(), 53);
-        // The fake clock is strictly monotonic, so each worker's three
-        // segments partition the dispatch wall exactly.
-        for w in &stats.workers {
-            assert_eq!(
-                w.spawn_wait_us + w.busy_us + w.join_wait_us,
-                stats.wall_us,
-                "shard {}",
-                w.shard
-            );
-        }
-    }
-
-    #[test]
-    fn unprofiled_dispatch_reports_no_stats() {
-        let pool = WorkerPool::new(2);
-        let done = pool.submit(vec![1u8, 2, 3], 2, |_, v| *v).wait();
-        assert!(done.stats.is_none());
-        assert_eq!(done.result.expect("no panic"), vec![1, 2, 3]);
-    }
-
-    #[test]
     fn dropping_the_pool_joins_all_workers() {
         let pool = WorkerPool::new(4);
         assert_eq!(pool.workers(), 4);
-        let done = pool.submit((0..8u8).collect(), 8, |_, v| *v).wait();
+        let done = pool.submit((0..8u8).collect(), 8, || 0, |_, v| *v).wait();
         assert_eq!(done.result.expect("no panic").len(), 8);
         drop(pool); // must not hang or leak threads
-    }
-
-    #[test]
-    fn zero_worker_request_still_serves_inline_semantics() {
-        let pool = WorkerPool::new(0);
-        assert_eq!(pool.workers(), 1, "clamped to one thread");
-        let done = pool.submit(vec![7u8], 4, |i, v| (i, *v)).wait();
-        assert_eq!(done.result.expect("no panic"), vec![(0, 7)]);
     }
 }

@@ -613,7 +613,7 @@ mod tests {
     }
 
     /// Send audit for the sharded fleet engine (`fj-par`): routers cross
-    /// scoped worker threads, so the simulator and everything it embeds
+    /// pool worker threads, so the simulator and everything it embeds
     /// must stay `Send + Sync`. A regression here (an `Rc`, a raw
     /// pointer, a thread-bound handle) fails at compile time.
     #[test]
