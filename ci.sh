@@ -31,6 +31,9 @@ cargo test --workspace -q
 echo "==> benchmark build (ledgerbench is its own workspace; test --workspace skips it)"
 cargo build --release --offline --manifest-path ledgerbench/Cargo.toml
 
+echo "==> cargo doc (broken and private intra-doc links are errors)"
+cargo doc --workspace --no-deps --offline
+
 echo "==> telemetry smoke"
 cargo run -q -p fj-bench --bin telemetry_smoke
 

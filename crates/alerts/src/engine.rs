@@ -403,17 +403,18 @@ impl AlertEngine {
         out
     }
 
-    /// [`AlertEngine::eval`] against `telemetry`'s registry, plus the
-    /// observability side effects: a `Warn` event and a flight-recorder
-    /// trip (with the triggering rule attached) per firing transition,
-    /// an `Info` event per resolution. Tripping is a strict no-op when
-    /// the recorder is unarmed, so deterministic runs stay deterministic.
+    /// [`AlertEngine::eval`] against both of `telemetry`'s registries
+    /// ([`Telemetry::metrics_snapshot`]), plus the observability side
+    /// effects: a `Warn` event and a flight-recorder trip (with the
+    /// triggering rule attached) per firing transition, an `Info` event
+    /// per resolution. Tripping is a strict no-op when the recorder is
+    /// unarmed, so deterministic runs stay deterministic.
     pub fn eval_and_trip(
         &mut self,
         telemetry: &Telemetry,
         now: SimInstant,
     ) -> Vec<AlertTransition> {
-        let transitions = self.eval(&telemetry.registry().snapshot(), now);
+        let transitions = self.eval(&telemetry.metrics_snapshot(), now);
         for transition in &transitions {
             let rule_line = self
                 .rules

@@ -21,13 +21,13 @@
 //!   spike, dispatch-wait budget, progress stall, collector health).
 //!
 //! Determinism contract: evaluation consumes only sim time and registry
-//! snapshots, both of which are bit-identical at any shard/chunk count
-//! under FJ01 — so the verdict stream is too, and survives crash/resume
-//! via [`engine::EngineState`] embedded in fleet checkpoints. The
-//! engine's own registry series (`fleet_alerts_*`, registered by the
-//! fleet engine only when alerting is configured) sit off the base FJ01
-//! surface via `fj_telemetry::OFF_SURFACE_METRICS`, exactly like the
-//! profiler and recovery planes.
+//! snapshots. The deterministic registry is bit-identical at any
+//! shard/chunk count under FJ01, so a verdict stream over its series is
+//! too, and survives crash/resume via [`engine::EngineState`] embedded
+//! in fleet checkpoints. The engine's own series (`fleet_alerts_*`,
+//! registered by the fleet engine only when alerting is configured) live
+//! on the diagnostic registry (`Telemetry::diagnostics`), off the base
+//! FJ01 surface, exactly like the profiler and recovery planes.
 
 pub mod engine;
 pub mod pack;

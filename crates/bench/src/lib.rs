@@ -115,7 +115,7 @@ impl ExperimentRun {
 
 impl Drop for ExperimentRun {
     fn drop(&mut self) {
-        let metrics = self.telemetry.registry().snapshot();
+        let metrics = self.telemetry.metrics_snapshot();
         if metrics.is_empty() && self.telemetry.events().is_empty() {
             return; // nothing instrumented ran; keep the output clean
         }

@@ -4,17 +4,19 @@
 //! complete resumable state of a collection run — per-router simulator
 //! state, health-ladder counters, predictor counter memory, the event
 //! cursor, the merge-owned traces and fleet totals, and a full
-//! [`fj_telemetry`] checkpoint (event ring, counters, gauges, spans) —
-//! to a CRC-sealed frame on disk ([`fj_faults::frame`]). A resumed run
-//! restores the newest checkpoint that survives verification and
-//! continues; the FJ01 contract extends across the crash: the resumed
-//! run's traces, events, gaps, and counters are bit-identical to an
-//! uninterrupted run.
+//! [`fj_telemetry`] checkpoint (event ring, the deterministic registry's
+//! counters and gauges, spans) — to a CRC-sealed frame on disk
+//! ([`fj_faults::frame`]). A resumed run restores the newest checkpoint
+//! that survives verification and continues; the FJ01 contract extends
+//! across the crash: the resumed run's traces, events, gaps, and
+//! deterministic registry are bit-identical to an uninterrupted run.
+//! Diagnostic series (`Telemetry::diagnostics`) are per-process and
+//! start from zero in a resumed run.
 //!
 //! # File format
 //!
 //! `ckpt-{rounds:012}.fjck` = [`fj_faults::frame::seal`] over a JSON
-//! payload of [`CheckpointState`]. The frame gives magic, version, exact
+//! payload of `CheckpointState`. The frame gives magic, version, exact
 //! length, and CRC-32 — torn writes surface as
 //! [`FrameError::Truncated`](fj_faults::FrameError), flipped bits as
 //! `BadCrc`, and both make the supervisor fall back to the previous
@@ -45,9 +47,11 @@ use crate::fleet::FleetRouter;
 use crate::trace::RouterTrace;
 
 /// Checkpoint payload schema version. Bumped on any incompatible change
-/// to [`CheckpointState`]; loads of other versions are rejected with
-/// [`CheckpointError::Version`].
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// to `CheckpointState`; loads of other versions are rejected with
+/// [`CheckpointError::Version`]. Version 2 carries the deterministic
+/// registry only: a version-1 file also lists the diagnostic series,
+/// which a restore would put on the deterministic registry.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Where checkpoints live and how many to retain.
 #[derive(Debug, Clone)]
@@ -77,7 +81,7 @@ pub enum CheckpointError {
     /// The CRC-sealed frame was torn, corrupt, or not a checkpoint
     /// ([`fj_faults::FrameError`] has the detail).
     Frame(FrameError),
-    /// The payload was not a parseable [`CheckpointState`].
+    /// The payload was not a parseable `CheckpointState`.
     Parse(String),
     /// The payload's schema version is not [`CHECKPOINT_VERSION`].
     Version(u32),

@@ -19,7 +19,7 @@
 //!    each shard runs its routers through the chunk's
 //!    window (events, polls, fault draws, health ladder, prediction)
 //!    with no cross-shard synchronisation, producing columnar
-//!    [`RoundRecord`] batches. This is sound because every input is
+//!    `RoundRecord` batches. This is sound because every input is
 //!    per-router keyed: fault draws address stream `"snmp/{router}"`
 //!    (and `"wall/{router}"`) at the *global* round index — the
 //!    `(round, router)` cell of a pure oracle and the engine's "RNG
@@ -60,16 +60,21 @@
 //! back to the previous one when the latest is torn or corrupt.
 //!
 //! The contract (tested in `tests/determinism.rs` and
-//! `tests/recovery.rs`): traces, gap markers, telemetry events, and
-//! counters are **bit-identical for every shard count, every chunk size,
-//! and across any crash/resume or supervised restart**. Threads, chunking
-//! and recovery decide only wall-clock speed and memory, never results —
-//! the FJ01 determinism rule extended to parallel *and* interrupted
-//! execution. Recovery itself is observable out-of-band: the flight
-//! recorder trips on every restart and checkpoint rejection, and the
-//! recovery-only counters (`fleet_recoveries_total`,
-//! `fleet_checkpoints_rejected_total`) are excluded from the
-//! deterministic surface by construction.
+//! `tests/recovery.rs`): traces, gap markers, telemetry events, and the
+//! deterministic registry ([`Telemetry::registry`]) are **bit-identical
+//! for every shard count, every chunk size, and across any crash/resume
+//! or supervised restart**. Threads, chunking and recovery decide only
+//! wall-clock speed and memory, never results — the FJ01 determinism
+//! rule extended to parallel *and* interrupted execution. Recovery itself
+//! is observable out-of-band: the flight recorder trips on every restart
+//! and checkpoint rejection.
+//!
+//! A series goes on [`Telemetry::diagnostics`] instead — rendered, never
+//! compared or checkpointed — when a wall clock, the recovery schedule,
+//! or an optional feature feeds it: the poll-round timing histogram, the
+//! recovery counters (`fleet_recoveries_total`,
+//! `fleet_checkpoints_rejected_total`), the profiler series, and the
+//! alert-plane series.
 
 use std::ops::ControlFlow;
 use std::path::PathBuf;
@@ -340,10 +345,10 @@ pub struct StreamConfig {
     /// [`StreamOutcome::efficiency`], [`RunProgress`] snapshots publish
     /// into the telemetry bundle's bounded ring, and profiler-only
     /// registry series (`fleet_parallel_efficiency`, …) track the latest
-    /// values. Everything recorded is wall-clock-derived and excluded
-    /// from the FJ01 deterministic surface exactly like the recovery
-    /// counters — enabling the profiler never changes traces, events,
-    /// span ids, or the deterministic metric series (enforced by
+    /// values. Everything recorded is wall-clock-derived, so the series
+    /// live on [`Telemetry::diagnostics`] like the recovery counters —
+    /// enabling the profiler never changes traces, events, span ids, or
+    /// the deterministic registry (enforced by
     /// `tests/profiler_fj01.rs`).
     pub profile: bool,
     /// Additionally mirror each progress snapshot to this file with an
@@ -356,10 +361,10 @@ pub struct StreamConfig {
     /// and resolved transitions with sim timestamps — is part of the
     /// deterministic contract: bit-identical at any shard/chunk count
     /// and across crash/resume (the engine state rides in checkpoints;
-    /// `tests/alerts_fj01.rs` enforces it). The alert-plane registry
-    /// series (`fleet_alerts_*`) are registered only when this is set
-    /// and sit on [`fj_telemetry::OFF_SURFACE_METRICS`], so plain runs
-    /// stay byte-identical. Firing alerts trip the flight recorder (if
+    /// `tests/alerts_fj01.rs` enforces it). The alert-plane series
+    /// (`fleet_alerts_*`) are registered only when this is set, on
+    /// [`Telemetry::diagnostics`], so the deterministic registry stays
+    /// byte-identical. Firing alerts trip the flight recorder (if
     /// armed) with the triggering rule attached.
     pub alerts: Option<AlertsConfig>,
 }
@@ -428,11 +433,27 @@ struct RouterCell {
     router: FleetRouter,
     predictor: ModelPredictor,
     health: TargetHealth,
-    /// Index of the next unfired event in this router's filtered list.
+    /// Index of the next unfired event in this router's event list.
     next_event: usize,
     snmp_stream: String,
     wall_stream: String,
     instrumented: bool,
+}
+
+impl RouterCell {
+    /// A round-zero cell: fresh health ladder and predictor memory, no
+    /// event fired yet. A resumed run restores its state into this.
+    fn new(router: FleetRouter, instrumented: bool) -> Self {
+        Self {
+            snmp_stream: format!("snmp/{}", router.name),
+            wall_stream: format!("wall/{}", router.name),
+            instrumented,
+            predictor: ModelPredictor::new(fj_router_sim::spec::truth_registry()),
+            health: TargetHealth::new(),
+            next_event: 0,
+            router,
+        }
+    }
 }
 
 /// Worker-side state captured at a chunk boundary so a supervised
@@ -486,8 +507,8 @@ struct RunContext {
     start: SimInstant,
     step: SimDuration,
     packets: PacketProfile,
-    /// All scheduled events, time-sorted; workers filter by router.
-    events: Vec<ScheduledEvent>,
+    /// Scheduled events per router (fleet index), each list time-sorted.
+    events: Vec<Vec<ScheduledEvent>>,
     poll_faults: FaultPlan,
     /// The trace sink's wall-clock epoch, so worker span stamps and
     /// merge span stamps share one time base.
@@ -514,11 +535,7 @@ fn run_chunk(
     index: usize,
     cell: &mut RouterCell,
 ) -> Result<ChunkOutput, SimError> {
-    let my_events: Vec<&ScheduledEvent> = ctx
-        .events
-        .iter()
-        .filter(|e| e.kind.router() == index)
-        .collect();
+    let my_events = &ctx.events[index];
     let mut out = ChunkOutput {
         records: Vec::with_capacity(usize::try_from(window.end - window.first).unwrap_or(0)),
         spans: SpanBuffer::new(SPAN_BUFFER_CAPACITY),
@@ -696,9 +713,9 @@ pub fn collect_sharded(
 /// checkpointed runs so a plain [`collect_sharded`] registry snapshot
 /// stays byte-identical to the pre-streaming engine's.
 ///
-/// `written` is part of the deterministic surface (same chunking ⇒ same
-/// count, checkpointed and restored); `recoveries` and `rejected` are
-/// recovery-only and deliberately excluded from the FJ01 comparison —
+/// `written` is on the deterministic registry (same chunking ⇒ same
+/// count, checkpointed and restored); `recoveries` and `rejected` follow
+/// the recovery schedule, so they live on [`Telemetry::diagnostics`] —
 /// an interrupted run *should* differ there.
 struct RecoveryCounters {
     written: Counter,
@@ -729,11 +746,11 @@ struct MergeMetrics {
 }
 
 /// Alert-plane state for one streaming run: the [`AlertEngine`] plus its
-/// registry series. Like the recovery counters and the profiler, the
-/// series exist only when the feature is configured and are excluded
-/// from base FJ01 comparisons by name ([`fj_telemetry::OFF_SURFACE_METRICS`])
-/// — but unlike the profiler they are *deterministic given the config*:
-/// the verdict stream they mirror is part of the extended contract.
+/// series. Like the recovery counters and the profiler, the series exist
+/// only when the feature is configured and live on
+/// [`Telemetry::diagnostics`] — but unlike the profiler they are
+/// *deterministic given the config*: the verdict stream they mirror is
+/// part of the extended contract.
 struct AlertPlane {
     engine: AlertEngine,
     firing: Gauge,
@@ -787,9 +804,9 @@ impl AlertPlane {
 }
 
 /// Profiler state for one streaming run: the efficiency accumulator plus
-/// the profiler-only registry series. Like the recovery counters, these
-/// series exist only when the feature is enabled and are excluded from
-/// FJ01 comparisons by name — they are wall-clock-derived and *should*
+/// the profiler-only series. Like the recovery counters, these series
+/// exist only when the feature is enabled and live on
+/// [`Telemetry::diagnostics`] — they are wall-clock-derived and *should*
 /// differ between otherwise identical runs.
 struct RunProfiler {
     epoch: WallEpoch,
@@ -916,14 +933,21 @@ pub fn collect_streaming(
         poll_faults,
         &fleet.routers,
     );
+    // Split the events per router once per run: the flat list is
+    // time-sorted, so each router's list is too.
+    let mut router_events = vec![Vec::new(); router_count];
+    for e in events {
+        router_events[e.kind.router()].push(e);
+    }
 
     let tracer = telemetry.tracer();
     let registry = telemetry.registry();
+    let diagnostics = telemetry.diagnostics();
     let recovery =
         (config.checkpoints.is_some() || config.max_restarts > 0).then(|| RecoveryCounters {
             written: registry.counter("fleet_checkpoints_written_total", &[]),
-            recoveries: registry.counter("fleet_recoveries_total", &[]),
-            rejected: registry.counter("fleet_checkpoints_rejected_total", &[]),
+            recoveries: diagnostics.counter("fleet_recoveries_total", &[]),
+            rejected: diagnostics.counter("fleet_checkpoints_rejected_total", &[]),
         });
 
     // Resume: walk candidate checkpoints newest-first. Every rejection —
@@ -1044,24 +1068,16 @@ pub fn collect_streaming(
             cells = Vec::with_capacity(state.routers.len());
             traces = Vec::with_capacity(state.routers.len());
             for (i, rs) in state.routers.into_iter().enumerate() {
-                let mut health = TargetHealth::new();
-                health.restore_counts(
+                let mut cell = RouterCell::new(rs.router, instrumented.contains(&i));
+                cell.health.restore_counts(
                     rs.consecutive_failures,
                     rs.total_failures,
                     rs.total_successes,
                 );
-                let mut predictor = ModelPredictor::new(fj_router_sim::spec::truth_registry());
-                predictor.restore_counters(&rs.predictor);
+                cell.predictor.restore_counters(&rs.predictor);
+                cell.next_event = usize::try_from(rs.next_event).unwrap_or(usize::MAX);
                 traces.push(rs.trace);
-                cells.push(RouterCell {
-                    snmp_stream: format!("snmp/{}", rs.router.name),
-                    wall_stream: format!("wall/{}", rs.router.name),
-                    instrumented: instrumented.contains(&i),
-                    router: rs.router,
-                    predictor,
-                    health,
-                    next_event: usize::try_from(rs.next_event).unwrap_or(usize::MAX),
-                });
+                cells.push(cell);
             }
         }
         None => {
@@ -1080,15 +1096,7 @@ pub fn collect_streaming(
                     model: router.sim.spec().model.clone(),
                     ..Default::default()
                 });
-                cells.push(RouterCell {
-                    snmp_stream: format!("snmp/{}", router.name),
-                    wall_stream: format!("wall/{}", router.name),
-                    instrumented: instrumented.contains(&i),
-                    predictor: ModelPredictor::new(fj_router_sim::spec::truth_registry()),
-                    health: TargetHealth::new(),
-                    next_event: 0,
-                    router,
-                });
+                cells.push(RouterCell::new(router, instrumented.contains(&i)));
             }
         }
     }
@@ -1099,7 +1107,7 @@ pub fn collect_streaming(
         wall_gaps: registry.counter("gaps_total", &[("source", "wall")]),
         total_gaps: registry.counter("gaps_total", &[("source", "fleet_total")]),
         quarantines: registry.counter("fleet_routers_quarantined_total", &[]),
-        round_duration: registry.histogram("fleet_poll_round_duration_seconds", &[]),
+        round_duration: diagnostics.histogram("fleet_poll_round_duration_seconds", &[]),
         health: traces
             .iter()
             .map(|rt| registry.gauge("fleet_router_health", &[("router", &rt.name)]))
@@ -1115,7 +1123,7 @@ pub fn collect_streaming(
         let engine = restored_alerts
             .take()
             .unwrap_or_else(|| AlertEngine::new(alerts_cfg.rules.clone()));
-        AlertPlane::new(registry, engine, alerts_cfg.json_path.clone())
+        AlertPlane::new(diagnostics, engine, alerts_cfg.json_path.clone())
     });
 
     // Profiler state is created only when asked for: an unprofiled run
@@ -1123,7 +1131,7 @@ pub fn collect_streaming(
     // reads beyond what the span stamps already do.
     let mut profiler = config
         .profile
-        .then(|| RunProfiler::new(registry, tracer.epoch()));
+        .then(|| RunProfiler::new(diagnostics, tracer.epoch()));
     let mut checkpoints_written = 0u64;
 
     let supervising = config.max_restarts > 0;
@@ -1143,7 +1151,7 @@ pub fn collect_streaming(
         start,
         step,
         packets: fleet.packets.clone(),
-        events,
+        events: router_events,
         poll_faults: poll_faults.clone(),
         epoch: tracer.epoch(),
         chaos: config.chaos_panic.clone(),

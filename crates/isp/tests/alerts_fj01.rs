@@ -9,10 +9,10 @@
 //! 1. **Shard invariance** — the same scenario with alerting configured
 //!    produces the identical transition log at 1/2/4/8/1024 shards.
 //! 2. **Off-surface evaluation** — an alerting run's trace, span
-//!    stream, filtered metric snapshot, and non-alert events are
+//!    stream, deterministic registry, and non-alert events are
 //!    bit-identical to a plain run's; the alert-plane series
-//!    (`fleet_alerts_*`) exist exactly when alerting is on, covered by
-//!    the shared `fj_telemetry::OFF_SURFACE_METRICS` list.
+//!    (`fleet_alerts_*`) exist exactly when alerting is on, and only on
+//!    the diagnostic registry.
 //! 3. **Crash recovery** — a killed run resumed from its newest
 //!    checkpoint restores the engine (phases, watches, and the full
 //!    transition log) and finishes with a verdict stream bit-identical
@@ -27,6 +27,8 @@
 //! guaranteed to exercise both transition kinds and the for-duration
 //! machinery regardless of how the fault plan lands.
 
+mod common;
+
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -38,8 +40,10 @@ use fj_faults::FaultPlan;
 use fj_isp::checkpoint::CheckpointConfig;
 use fj_isp::trace::{collect_streaming, AlertsConfig, StreamConfig, StreamOutcome};
 use fj_isp::{build_fleet, EventKind, FleetConfig, ScheduledEvent};
-use fj_telemetry::{stable_prometheus, Telemetry};
+use fj_telemetry::Telemetry;
 use fj_units::{SimDuration, SimInstant, Watts};
+
+use common::{assert_diagnostic_split, deterministic_prometheus, stable_spans};
 
 const CHUNK_ROUNDS: u64 = 96; // 8 h of 5-min polls; 575-round horizon → 6 chunks
 const KILL_AFTER_CHUNKS: u64 = 3;
@@ -147,30 +151,6 @@ fn non_alert_events(t: &Telemetry) -> Vec<String> {
         .collect()
 }
 
-/// The causal span stream projected onto its deterministic content
-/// (wall stamps measure real elapsed time and are excluded).
-fn stable_spans(t: &Telemetry) -> Vec<String> {
-    let mut out: Vec<String> = t
-        .tracer()
-        .spans()
-        .iter()
-        .map(|s| {
-            format!(
-                "{} parent={} name={} lane={} sim={}..{} fields={:?}",
-                s.id,
-                s.parent,
-                s.name,
-                s.lane,
-                s.sim_start.as_secs(),
-                s.sim_end.as_secs(),
-                s.fields
-            )
-        })
-        .collect();
-    out.push(format!("dropped={}", t.tracer().dropped()));
-    out
-}
-
 fn transitions(outcome: &StreamOutcome) -> Vec<AlertTransition> {
     outcome
         .alerts
@@ -229,8 +209,8 @@ fn alert_evaluation_stays_off_the_deterministic_surface() {
             "{shards}-shard trace diverged when alerting"
         );
         assert_eq!(
-            stable_prometheus(&off_tel),
-            stable_prometheus(&on_tel),
+            deterministic_prometheus(&off_tel),
+            deterministic_prometheus(&on_tel),
             "{shards}-shard metric snapshot diverged when alerting"
         );
         assert_eq!(
@@ -244,25 +224,24 @@ fn alert_evaluation_stays_off_the_deterministic_surface() {
             "{shards}-shard non-alert events diverged when alerting"
         );
 
-        // The alert-plane series exist exactly when alerting is on.
+        // The alert-plane series exist exactly when alerting is on, and
+        // only on the diagnostic registry.
         let off_prom = off_tel.render_prometheus();
         let on_prom = on_tel.render_prometheus();
-        for name in [
+        let alert_series = [
             "fleet_alerts_firing",
             "fleet_alerts_pending",
             "fleet_alert_evals_total",
             "fleet_alert_transitions_total",
-        ] {
+        ];
+        for name in alert_series {
             assert!(!off_prom.contains(name), "{name} leaked into a plain run");
             assert!(
                 on_prom.contains(name),
                 "{name} missing from an alerting run"
             );
-            assert!(
-                fj_telemetry::OFF_SURFACE_METRICS.contains(&name),
-                "{name} must be on the shared off-surface list"
-            );
         }
+        assert_diagnostic_split(&on_tel, &alert_series);
 
         // A plain run emits no alert events; an alerting run's verdicts
         // all reach the event log.
@@ -317,8 +296,8 @@ fn alert_state_survives_kill_and_resume() {
     );
     assert_eq!(resumed.trace, baseline.trace);
     assert_eq!(
-        stable_prometheus(&resumed_tel),
-        stable_prometheus(&baseline_tel)
+        deterministic_prometheus(&resumed_tel),
+        deterministic_prometheus(&baseline_tel)
     );
 
     // The restored engine reports the same live state as the baseline's.

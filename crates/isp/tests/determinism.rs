@@ -1,29 +1,33 @@
 //! The FJ01 determinism contract for the sharded collection engine
 //! (tier-1): the shard count must change wall-clock time and nothing
-//! else. Traces, gap markers, telemetry events, counters, and gauges are
-//! bit-identical whether the fleet runs on one worker or many.
+//! else. Traces, gap markers, telemetry events, spans, and the whole
+//! deterministic registry are bit-identical whether the fleet runs on
+//! one worker or many. The wall-clock round timing lives on the
+//! diagnostic registry and is never compared.
+
+mod common;
 
 use std::sync::Arc;
 
 use fj_faults::FaultPlan;
 use fj_isp::trace::{collect_sharded, collect_streaming, StreamConfig};
-use fj_isp::{build_fleet, EventKind, FleetConfig, FleetTrace, ScheduledEvent};
+use fj_isp::{build_fleet, EventKind, Fleet, FleetConfig, FleetTrace, ScheduledEvent};
 use fj_telemetry::Telemetry;
 use fj_units::{SimDuration, SimInstant, Watts};
 
+use common::{assert_diagnostic_split, deterministic_prometheus, stable_spans};
+
 /// A week of 5-minute polls over a small fleet with drops, Autopower
 /// meters, and mid-run events — every code path the engine has.
-fn run(shards: usize) -> (FleetTrace, Arc<Telemetry>) {
-    let mut fleet = build_fleet(&FleetConfig::small(11));
+fn scenario() -> (Fleet, Vec<ScheduledEvent>, FaultPlan) {
+    let fleet = build_fleet(&FleetConfig::small(11));
     let n = fleet.routers.len();
     assert!(n >= 5, "scenario expects a multi-router fleet");
+    let iface = fleet.routers[1].plan[0].index;
     let events = vec![
         ScheduledEvent {
             at: SimInstant::from_days(1),
-            kind: EventKind::AdminDown {
-                router: 1,
-                iface: fleet.routers[1].plan[0].index,
-            },
+            kind: EventKind::AdminDown { router: 1, iface },
         },
         ScheduledEvent {
             at: SimInstant::from_days(2),
@@ -35,10 +39,7 @@ fn run(shards: usize) -> (FleetTrace, Arc<Telemetry>) {
         },
         ScheduledEvent {
             at: SimInstant::from_days(3),
-            kind: EventKind::AdminUp {
-                router: 1,
-                iface: fleet.routers[1].plan[0].index,
-            },
+            kind: EventKind::AdminUp { router: 1, iface },
         },
         ScheduledEvent {
             at: SimInstant::from_days(4),
@@ -48,6 +49,12 @@ fn run(shards: usize) -> (FleetTrace, Arc<Telemetry>) {
     // 15 % drop rate is high enough to walk routers down the health
     // ladder into quarantine and back within a week.
     let plan = FaultPlan::new(0x6A9_0004).with_drop_rate(0.15);
+    (fleet, events, plan)
+}
+
+/// The scenario through the whole-horizon `collect_sharded` face.
+fn run(shards: usize) -> (FleetTrace, Arc<Telemetry>) {
+    let (mut fleet, events, plan) = scenario();
     let telemetry = Telemetry::with_capacity(1 << 16);
     let trace = collect_sharded(
         &mut fleet,
@@ -70,37 +77,7 @@ fn run(shards: usize) -> (FleetTrace, Arc<Telemetry>) {
 /// pool is already simulating chunk N+1. 96 rounds per chunk over a
 /// 2016-round week gives 21 chunks, none aligned to event days.
 fn run_chunked(shards: usize) -> (FleetTrace, Arc<Telemetry>) {
-    let mut fleet = build_fleet(&FleetConfig::small(11));
-    let n = fleet.routers.len();
-    let events = vec![
-        ScheduledEvent {
-            at: SimInstant::from_days(1),
-            kind: EventKind::AdminDown {
-                router: 1,
-                iface: fleet.routers[1].plan[0].index,
-            },
-        },
-        ScheduledEvent {
-            at: SimInstant::from_days(2),
-            kind: EventKind::OsUpdate {
-                router: n - 1,
-                version: "7.11.2".into(),
-                delta: Watts::new(45.0),
-            },
-        },
-        ScheduledEvent {
-            at: SimInstant::from_days(3),
-            kind: EventKind::AdminUp {
-                router: 1,
-                iface: fleet.routers[1].plan[0].index,
-            },
-        },
-        ScheduledEvent {
-            at: SimInstant::from_days(4),
-            kind: EventKind::PsuFailure { router: 2, slot: 1 },
-        },
-    ];
-    let plan = FaultPlan::new(0x6A9_0004).with_drop_rate(0.15);
+    let (mut fleet, events, plan) = scenario();
     let telemetry = Telemetry::with_capacity(1 << 16);
     let outcome = collect_streaming(
         &mut fleet,
@@ -122,36 +99,8 @@ fn run_chunked(shards: usize) -> (FleetTrace, Arc<Telemetry>) {
     (outcome.trace, telemetry)
 }
 
-// Metric snapshot minus the sanctioned off-surface series (wall-clock
-// timing and feature-only planes), via the shared exclusion list in
-// `fj_telemetry::OFF_SURFACE_METRICS`.
-use fj_telemetry::stable_prometheus;
-
-/// The causal span stream projected onto its deterministic content. Wall
-/// stamps are the sanctioned nondeterminism (they measure real elapsed
-/// time); everything else — sequential ids, parents, names, lanes, sim
-/// stamps, fields, drop counts — must be bit-identical per shard count.
-fn stable_spans(t: &Telemetry) -> Vec<String> {
-    let mut out: Vec<String> = t
-        .tracer()
-        .spans()
-        .iter()
-        .map(|s| {
-            format!(
-                "{} parent={} name={} lane={} sim={}..{} fields={:?}",
-                s.id,
-                s.parent,
-                s.name,
-                s.lane,
-                s.sim_start.as_secs(),
-                s.sim_end.as_secs(),
-                s.fields
-            )
-        })
-        .collect();
-    out.push(format!("dropped={}", t.tracer().dropped()));
-    out
-}
+/// The engine's only always-on diagnostic series: host wall-clock timing.
+const WALL_SERIES: [&str; 1] = ["fleet_poll_round_duration_seconds"];
 
 #[test]
 fn shard_count_never_changes_results() {
@@ -182,8 +131,8 @@ fn shard_count_never_changes_results() {
             "{shards}-shard event log diverged from sequential"
         );
         assert_eq!(
-            stable_prometheus(&seq_tel),
-            stable_prometheus(&par_tel),
+            deterministic_prometheus(&seq_tel),
+            deterministic_prometheus(&par_tel),
             "{shards}-shard metric snapshot diverged from sequential"
         );
         assert_eq!(
@@ -191,6 +140,7 @@ fn shard_count_never_changes_results() {
             stable_spans(&par_tel),
             "{shards}-shard span stream diverged from sequential"
         );
+        assert_diagnostic_split(&par_tel, &WALL_SERIES);
     }
 }
 
@@ -230,8 +180,8 @@ fn pool_path_chunking_never_changes_results() {
             "{shards}-shard pooled event log diverged from sequential"
         );
         assert_eq!(
-            stable_prometheus(&seq_tel),
-            stable_prometheus(&par_tel),
+            deterministic_prometheus(&seq_tel),
+            deterministic_prometheus(&par_tel),
             "{shards}-shard pooled metric snapshot diverged from sequential"
         );
         assert_eq!(
@@ -239,5 +189,6 @@ fn pool_path_chunking_never_changes_results() {
             stable_spans(&par_tel),
             "{shards}-shard pooled span stream diverged from sequential"
         );
+        assert_diagnostic_split(&par_tel, &WALL_SERIES);
     }
 }

@@ -1,25 +1,28 @@
 //! FJ01 regression for the shard-utilization profiler and the live
 //! progress plane: enabling `StreamConfig::profile` must leave the
-//! deterministic surface — trace, events, span stream, and the metric
-//! snapshot minus the profiler-excluded series — bit-identical to an
-//! unprofiled run at every shard count.
+//! deterministic surface — trace, events, span stream, and the whole
+//! deterministic registry — bit-identical to an unprofiled run at every
+//! shard count.
 //!
-//! The profiler's registry series (`fleet_parallel_efficiency`,
+//! The profiler's series (`fleet_parallel_efficiency`,
 //! `fleet_merge_fraction`, `fleet_progress_rounds_per_sec`,
 //! `fleet_shard_busy_seconds`, `fleet_pool_dispatch_wait_seconds`) are
-//! wall-clock-derived and excluded from the comparison by name via the
-//! shared `fj_telemetry::OFF_SURFACE_METRICS` list, exactly like the
-//! recovery counters in `recovery.rs` — they exist only when the
+//! wall-clock-derived and live on the diagnostic registry, exactly like
+//! the recovery counters in `recovery.rs` — they exist only when the
 //! profiler is on and *should* differ between otherwise identical runs.
 //! Everything else must not.
+
+mod common;
 
 use std::sync::Arc;
 
 use fj_faults::FaultPlan;
 use fj_isp::trace::{collect_streaming, StreamConfig, StreamOutcome};
 use fj_isp::{build_fleet, EventKind, FleetConfig, ScheduledEvent};
-use fj_telemetry::{stable_prometheus, Telemetry};
+use fj_telemetry::Telemetry;
 use fj_units::{SimDuration, SimInstant, Watts};
+
+use common::{assert_diagnostic_split, deterministic_prometheus, stable_spans};
 
 /// The profiler-only series: present exactly when profiling is on.
 const PROFILER_SERIES: [&str; 5] = [
@@ -65,30 +68,6 @@ fn run(shards: usize, profile: bool) -> (StreamOutcome, Arc<Telemetry>) {
     (outcome, telemetry)
 }
 
-/// Span stream projected onto its deterministic content (wall stamps are
-/// the sanctioned nondeterminism).
-fn stable_spans(t: &Telemetry) -> Vec<String> {
-    let mut out: Vec<String> = t
-        .tracer()
-        .spans()
-        .iter()
-        .map(|s| {
-            format!(
-                "{} parent={} name={} lane={} sim={}..{} fields={:?}",
-                s.id,
-                s.parent,
-                s.name,
-                s.lane,
-                s.sim_start.as_secs(),
-                s.sim_end.as_secs(),
-                s.fields
-            )
-        })
-        .collect();
-    out.push(format!("dropped={}", t.tracer().dropped()));
-    out
-}
-
 #[test]
 fn profiler_adds_nothing_to_the_deterministic_surface() {
     for shards in [1usize, 2, 4, 8, 1024] {
@@ -105,8 +84,8 @@ fn profiler_adds_nothing_to_the_deterministic_surface() {
             "{shards}-shard event log diverged when profiling"
         );
         assert_eq!(
-            stable_prometheus(&off_tel),
-            stable_prometheus(&on_tel),
+            deterministic_prometheus(&off_tel),
+            deterministic_prometheus(&on_tel),
             "{shards}-shard metric snapshot diverged when profiling"
         );
         assert_eq!(
@@ -129,6 +108,7 @@ fn profiler_adds_nothing_to_the_deterministic_surface() {
         for name in &PROFILER_SERIES {
             assert!(on_prom.contains(name), "{name} missing from a profiled run");
         }
+        assert_diagnostic_split(&on_tel, &PROFILER_SERIES);
 
         // Progress snapshots publish only when profiling, and only into
         // the side-channel ring — never the event log or the registry.

@@ -11,9 +11,12 @@
 //!
 //! Recovery bookkeeping is the sanctioned out-of-band surface: the
 //! recovery-only counters (`fleet_recoveries_total`,
-//! `fleet_checkpoints_rejected_total`) are stripped before comparing,
-//! and the flight recorder — armed in dedicated tests below — must trip
-//! on every supervised restart and checkpoint rejection.
+//! `fleet_checkpoints_rejected_total`) live on the diagnostic registry,
+//! which is never compared, and the flight recorder — armed in dedicated
+//! tests below — must trip on every supervised restart and checkpoint
+//! rejection.
+
+mod common;
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -24,6 +27,8 @@ use fj_isp::trace::{collect_streaming, ChaosPanic, StreamConfig, StreamOutcome};
 use fj_isp::{build_fleet, EventKind, Fleet, FleetConfig, ScheduledEvent};
 use fj_telemetry::Telemetry;
 use fj_units::{SimDuration, SimInstant, Watts};
+
+use common::{assert_diagnostic_split, deterministic_prometheus, stable_spans};
 
 const HORIZON_DAYS: i64 = 2;
 const CHUNK_ROUNDS: u64 = 96; // 8 h of 5-min polls; 575-round horizon → 6 chunks
@@ -97,35 +102,13 @@ fn checkpointed(shards: usize, dir: &Path) -> StreamConfig {
     }
 }
 
-// Metric state minus the sanctioned nondeterminism — wall-clock round
-// timing plus the recovery-only counters (an interrupted run *should*
-// differ there, and only there) — via the shared exclusion list in
-// `fj_telemetry::OFF_SURFACE_METRICS`.
-use fj_telemetry::stable_prometheus;
-
-/// The causal span stream projected onto its deterministic content
-/// (wall stamps measure real elapsed time and are excluded).
-fn stable_spans(t: &Telemetry) -> Vec<String> {
-    let mut out: Vec<String> = t
-        .tracer()
-        .spans()
-        .iter()
-        .map(|s| {
-            format!(
-                "{} parent={} name={} lane={} sim={}..{} fields={:?}",
-                s.id,
-                s.parent,
-                s.name,
-                s.lane,
-                s.sim_start.as_secs(),
-                s.sim_end.as_secs(),
-                s.fields
-            )
-        })
-        .collect();
-    out.push(format!("dropped={}", t.tracer().dropped()));
-    out
-}
+/// The diagnostic series every checkpointed run registers: host
+/// wall-clock timing plus the two recovery counters.
+const DIAGNOSTIC_SERIES: [&str; 3] = [
+    "fleet_poll_round_duration_seconds",
+    "fleet_recoveries_total",
+    "fleet_checkpoints_rejected_total",
+];
 
 fn assert_matches_baseline(
     label: &str,
@@ -143,8 +126,8 @@ fn assert_matches_baseline(
         "{label}: event log diverged from uninterrupted run"
     );
     assert_eq!(
-        stable_prometheus(&baseline.1),
-        stable_prometheus(&candidate.1),
+        deterministic_prometheus(&baseline.1),
+        deterministic_prometheus(&candidate.1),
         "{label}: metric snapshot diverged from uninterrupted run"
     );
     assert_eq!(
@@ -152,6 +135,7 @@ fn assert_matches_baseline(
         stable_spans(&candidate.1),
         "{label}: span stream diverged from uninterrupted run"
     );
+    assert_diagnostic_split(&candidate.1, &DIAGNOSTIC_SERIES);
     // Final simulator state converged too: the next collection would
     // start from identical fleets.
     assert_eq!(
@@ -322,7 +306,7 @@ fn flight_recorder_trips_on_supervised_recovery() {
     assert_eq!(outcome.restarts, 1);
     assert_eq!(
         telemetry
-            .registry()
+            .diagnostics()
             .counter("fleet_recoveries_total", &[])
             .get(),
         1
@@ -370,7 +354,7 @@ fn flight_recorder_trips_on_checkpoint_rejection() {
     assert_eq!(outcome.checkpoints_rejected, 1);
     assert_eq!(
         telemetry
-            .registry()
+            .diagnostics()
             .counter("fleet_checkpoints_rejected_total", &[])
             .get(),
         1

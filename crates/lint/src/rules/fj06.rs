@@ -1,7 +1,7 @@
 //! FJ06 — lock discipline: no lock guard held across a call that can
 //! re-enter the telemetry registry.
 //!
-//! The telemetry [`Registry`] and [`EventLog`] serialize on their own
+//! The telemetry `Registry` and `EventLog` serialize on their own
 //! mutexes. A component that calls `registry.counter(...)` or
 //! `telemetry.event(...)` while holding one of its *own* locks creates a
 //! lock-order edge that inverts the moment telemetry (a renderer, an

@@ -35,7 +35,9 @@ impl ClientMetrics {
             backoff_suppressed: r.counter("autopower_backoff_suppressed_total", &[]),
             reconnects: r.counter("autopower_reconnects_total", &[]),
             buffer_occupancy: r.gauge("autopower_buffer_occupancy", &[("unit", unit_id)]),
-            flush_duration: r.histogram("autopower_flush_duration_seconds", &[]),
+            flush_duration: telemetry
+                .diagnostics()
+                .histogram("autopower_flush_duration_seconds", &[]),
         }
     }
 }

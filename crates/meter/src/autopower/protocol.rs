@@ -144,9 +144,9 @@ pub fn write_message<W: Write>(w: &mut W, msg: &Message) -> Result<(), ProtoErro
 
 /// Reads one raw frame (blocking), without CRC verification.
 ///
-/// The body is read incrementally in [`READ_CHUNK_BYTES`] chunks: the
-/// buffer only grows as bytes actually arrive, so a hostile length
-/// prefix costs the reader nothing beyond the bytes truly sent.
+/// The body is read incrementally in `READ_CHUNK_BYTES` (64 KiB)
+/// chunks: the buffer only grows as bytes actually arrive, so a hostile
+/// length prefix costs the reader nothing beyond the bytes truly sent.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<RawFrame, ProtoError> {
     let mut header = [0u8; 8];
     // Only the first byte may escape with a timeout (`WouldBlock`): a

@@ -46,7 +46,9 @@ impl PollerMetrics {
             retries: r.counter("snmp_poll_retries_total", &[]),
             crc_failures: r.counter("snmp_crc_failures_total", &[]),
             backoff_delay: r.histogram("snmp_backoff_delay_seconds", &[]),
-            poll_duration: r.histogram("snmp_poll_duration_seconds", &[]),
+            poll_duration: telemetry
+                .diagnostics()
+                .histogram("snmp_poll_duration_seconds", &[]),
         }
     }
 }

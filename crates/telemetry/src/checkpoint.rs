@@ -3,16 +3,20 @@
 //! The crash-recoverable fleet engine (fj-isp) serializes its telemetry
 //! alongside the sim state at every chunk boundary, so a resumed run can
 //! continue the event ring (sequence numbers!), the span sink (span
-//! ids!), and every counter/gauge exactly where the interrupted run left
-//! them — the FJ01 determinism contract extends across a process death.
+//! ids!), and every deterministic counter/gauge exactly where the
+//! interrupted run left them — the FJ01 determinism contract extends
+//! across a process death.
 //!
-//! Two deliberate exclusions:
+//! Three deliberate exclusions:
 //!
-//! * **Histograms are not checkpointed.** Their content is wall-clock
-//!   time — the one sanctioned nondeterminism — and the determinism
-//!   suites strip them from comparisons. Engines re-register their
-//!   histogram series on every run, so the series still exists after a
-//!   resume; only its (nondeterministic) observations start over.
+//! * **The diagnostic registry is not checkpointed.** Its series are fed
+//!   by a wall clock, the recovery schedule, or an optional feature, so
+//!   a resumed process starts them from zero — the way Prometheus
+//!   counters behave across a process restart.
+//! * **Histograms are not checkpointed.** The fleet engine's histograms
+//!   time the host and live on the diagnostic registry anyway. Engines
+//!   re-register their histogram series on every run, so the series
+//!   still exists after a resume; only its observations start over.
 //! * **The flight recorder is not checkpointed.** Arming is a
 //!   per-process decision; a resumed run re-arms (or not) on its own.
 //!
@@ -34,10 +38,10 @@ pub struct TelemetryCheckpoint {
     pub now_secs: i64,
     /// The event ring, sequence counters included.
     pub events: EventLogCheckpoint,
-    /// Every counter series.
+    /// Every deterministic counter series.
     pub counters: Vec<ScalarMetricCheckpoint>,
-    /// Every gauge series (value stored as `f64::to_bits` for lossless
-    /// round-tripping through JSON).
+    /// Every deterministic gauge series (value stored as `f64::to_bits`
+    /// for lossless round-tripping through JSON).
     pub gauges: Vec<ScalarMetricCheckpoint>,
     /// The span sink: rings, id counter, and per-stage totals.
     pub trace: TraceCheckpoint,
@@ -154,10 +158,10 @@ pub(crate) fn intern(names: &[&'static str], s: &str) -> Result<&'static str, St
 }
 
 impl Telemetry {
-    /// Captures the whole bundle — event ring, counters, gauges, span
-    /// sink, sim clock — as a serializable checkpoint. Histograms and
-    /// the flight recorder are deliberately excluded (see the module
-    /// docs).
+    /// Captures the whole bundle — event ring, deterministic counters
+    /// and gauges, span sink, sim clock — as a serializable checkpoint.
+    /// The diagnostic registry, histograms, and the flight recorder are
+    /// deliberately excluded (see the module docs).
     pub fn checkpoint_state(&self) -> TelemetryCheckpoint {
         let mut counters = Vec::new();
         let mut gauges = Vec::new();
@@ -242,6 +246,7 @@ mod tests {
             .gauge("fleet_router_health", &[("router", "r0")])
             .set(2.0);
         t.registry().histogram("latency_seconds", &[]).observe(0.5);
+        t.diagnostics().counter("restarts_total", &[]).inc();
         t.event(
             Level::Warn,
             "fleet.collect",
@@ -288,8 +293,9 @@ mod tests {
             .tracer()
             .begin_span("snmp_poll", None, SimInstant::EPOCH);
         assert_eq!(next.raw(), 3, "id counter restored past 2 used ids");
-        // Histograms are excluded by design.
+        // Histograms and the diagnostic registry are excluded by design.
         assert!(!fresh.render_prometheus().contains("latency_seconds"));
+        assert!(!fresh.render_prometheus().contains("restarts_total"));
     }
 
     #[test]

@@ -31,6 +31,16 @@
 //! can be joined against their cause events exactly. Components default
 //! to the process-wide [`global`] bundle; tests that need isolation pass
 //! their own via each component's `with_telemetry` hook.
+//!
+//! A bundle holds two registries, and the one a series is registered on
+//! decides whether the FJ01 determinism suites compare it.
+//! [`Telemetry::registry`] is the deterministic one: its rendering must
+//! be bit-identical across shard counts, chunk sizes, and kill→resume,
+//! and checkpoints carry it. [`Telemetry::diagnostics`] holds every
+//! series a wall clock, the recovery schedule, or an optional feature
+//! feeds; it is never compared or checkpointed. Operators see both as
+//! one exposition ([`Telemetry::metrics_snapshot`],
+//! [`Telemetry::render_prometheus`]).
 
 pub mod checkpoint;
 pub mod clock;
@@ -62,66 +72,11 @@ pub use trace::{Span, SpanBuffer, SpanId, SpanRecord, StageSpan, TraceSink};
 
 use flightrec::FlightRecorder;
 
-/// Metric series that live off the base FJ01 deterministic surface.
-///
-/// Two families, one list:
-///
-/// * **wall-derived** series (poll-round timing, the profiler plane)
-///   measure the host, not the simulation, and legitimately differ
-///   between byte-identical runs;
-/// * **conditional** series (the recovery counters that vary with the
-///   kill/resume schedule, the alert plane registered only when
-///   `StreamConfig::alerts` is set) are deterministic *given their
-///   feature configuration* but absent from plain runs.
-///
-/// Determinism suites comparing telemetry across shard counts, crash
-/// schedules, or feature toggles filter these names with
-/// [`stable_prometheus`] instead of hand-rolling per-test lists.
-/// `fleet_checkpoints_written_total` is deliberately **not** here: the
-/// checkpoint cadence is part of the deterministic contract and stays
-/// under comparison.
-pub const OFF_SURFACE_METRICS: &[&str] = &[
-    // Wall-derived poll timing (always registered).
-    "fleet_poll_round_duration_seconds",
-    // Recovery plane: counts depend on the kill/resume schedule.
-    "fleet_recoveries_total",
-    "fleet_checkpoints_rejected_total",
-    // Profiler plane (wall-derived, `StreamConfig::profile` only).
-    "fleet_parallel_efficiency",
-    "fleet_merge_fraction",
-    "fleet_progress_rounds_per_sec",
-    "fleet_shard_busy_seconds",
-    "fleet_pool_dispatch_wait_seconds",
-    // Alert plane (`StreamConfig::alerts` only; the verdict stream
-    // itself is deterministic and compared separately).
-    "fleet_alerts_firing",
-    "fleet_alerts_pending",
-    "fleet_alert_transitions_total",
-    "fleet_alert_evals_total",
-];
-
-/// Whether a Prometheus exposition line belongs to an
-/// [`OFF_SURFACE_METRICS`] series.
-pub fn is_off_surface_line(line: &str) -> bool {
-    OFF_SURFACE_METRICS.iter().any(|name| line.contains(name))
-}
-
-/// The Prometheus exposition with every off-surface series filtered
-/// out — the byte-comparable rendering the FJ01 suites diff across
-/// shard counts, chunk sizes, crash schedules, and feature toggles.
-pub fn stable_prometheus(telemetry: &Telemetry) -> String {
-    telemetry
-        .render_prometheus()
-        .lines()
-        .filter(|line| !is_off_surface_line(line))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 /// Metrics, events, causal traces, and the sim clock they are stamped
 /// with.
 pub struct Telemetry {
     registry: Registry,
+    diagnostics: Registry,
     events: EventLog,
     trace: TraceSink,
     flightrec: Mutex<Option<FlightRecorder>>,
@@ -145,6 +100,7 @@ impl Telemetry {
         Arc::new(Telemetry {
             trace: TraceSink::new(capacity, dropped),
             registry,
+            diagnostics: Registry::new(),
             events: EventLog::new(capacity),
             flightrec: Mutex::new(None),
             progress: Mutex::new(progress::ProgressPlane::default()),
@@ -152,9 +108,28 @@ impl Telemetry {
         })
     }
 
-    /// The metric registry.
+    /// The deterministic metric registry: the series FJ01 compares, and
+    /// the only ones a checkpoint carries. Every series not fed by a wall
+    /// clock, the recovery schedule, or an optional feature lives here.
     pub fn registry(&self) -> &Registry {
         &self.registry
+    }
+
+    /// The diagnostic metric registry: series a wall clock, the recovery
+    /// schedule, or an optional feature feeds. They render alongside the
+    /// deterministic ones but are never compared or checkpointed, so a
+    /// resumed process starts them from zero.
+    pub fn diagnostics(&self) -> &Registry {
+        &self.diagnostics
+    }
+
+    /// Every series of both registries, sorted by name then labels
+    /// exactly as one registry sorts — the operator-facing view.
+    pub fn metrics_snapshot(&self) -> RegistrySnapshot {
+        let mut all = self.registry.snapshot();
+        all.extend(self.diagnostics.snapshot());
+        all.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
+        all
     }
 
     /// The event log.
@@ -191,14 +166,15 @@ impl Telemetry {
         self.events.emit(self.now(), level, target, message, fields);
     }
 
-    /// Prometheus-style text rendering of the current metric state.
+    /// Prometheus-style text rendering of both registries, merged.
     pub fn render_prometheus(&self) -> String {
-        render::to_prometheus_text(&self.registry.snapshot())
+        render::to_prometheus_text(&self.metrics_snapshot())
     }
 
-    /// Pretty-printed JSON snapshot of metrics and retained events.
+    /// Pretty-printed JSON snapshot of metrics (both registries) and
+    /// retained events.
     pub fn snapshot_json(&self) -> String {
-        let value = render::to_json_value(&self.registry.snapshot(), &self.events);
+        let value = render::to_json_value(&self.metrics_snapshot(), &self.events);
         serde_json::to_string_pretty(&value)
             .unwrap_or_else(|e| format!("{{\"error\":\"snapshot serialization failed: {e}\"}}"))
     }
@@ -242,9 +218,8 @@ impl Telemetry {
     }
 
     /// Prometheus text for the latest progress snapshot — rendered on
-    /// demand, deliberately separate from [`Telemetry::render_prometheus`]
-    /// so the wall-derived series never mix into the deterministic
-    /// exposition. Empty when nothing was published.
+    /// demand from the progress ring, separate from both registries'
+    /// [`Telemetry::render_prometheus`]. Empty when nothing was published.
     pub fn render_progress_prometheus(&self) -> String {
         let latest = self.latest_progress();
         progress::to_prometheus_text(latest.as_ref())
@@ -355,7 +330,7 @@ impl Telemetry {
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Telemetry")
-            .field("metrics", &self.registry.snapshot().len())
+            .field("metrics", &self.metrics_snapshot().len())
             .field("events", &self.events.len())
             .field("now", &self.now())
             .finish()

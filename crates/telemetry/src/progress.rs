@@ -6,17 +6,18 @@
 //! per-chunk [`RunProgress`] snapshots into a bounded ring, and gives
 //! outside observers two read paths that both work *mid-run*:
 //!
-//! * [`Telemetry::render_progress_prometheus`] — Prometheus text for the
-//!   latest snapshot, rendered on demand and entirely separate from the
-//!   deterministic metric registry;
-//! * [`Telemetry::write_progress_json`] — an atomically-written
+//! * [`Telemetry::render_progress_prometheus`](crate::Telemetry::render_progress_prometheus)
+//!   — Prometheus text for the latest snapshot, rendered on demand and
+//!   entirely separate from both metric registries;
+//! * [`Telemetry::write_progress_json`](crate::Telemetry::write_progress_json)
+//!   — an atomically-written
 //!   (tmp + rename, like checkpoints) JSON file, typically
 //!   `target/telemetry/progress-<exp>.json`, safe to `cat` while the
 //!   run is mid-chunk.
 //!
 //! Everything here is wall-clock-derived (rates, ETAs) and therefore
 //! lives **off** the FJ01 deterministic surface: snapshots never enter
-//! the event log, the trace sink, or the metric registry, and the
+//! the event log, the trace sink, or either metric registry, and the
 //! progress file is a side channel like the flight recorder dump. The
 //! FJ01 regression test `crates/isp/tests/profiler_fj01.rs` holds the
 //! engine to that.

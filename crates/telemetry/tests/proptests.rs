@@ -1,7 +1,10 @@
-//! Property-based tests for the histogram and the Prometheus renderer.
+//! Property-based tests for the histogram, the Prometheus renderer, and
+//! the deterministic/diagnostic registry split.
+
+use std::collections::BTreeMap;
 
 use fj_telemetry::render::{escape_label_value, to_prometheus_text, unescape_label_value};
-use fj_telemetry::{Histogram, HistogramSnapshot, Registry, SpanRecord};
+use fj_telemetry::{Histogram, HistogramSnapshot, Registry, SpanRecord, Telemetry};
 use fj_units::SimInstant;
 use proptest::prelude::*;
 
@@ -16,7 +19,48 @@ fn true_quantile(sorted: &[f64], q: f64) -> f64 {
     sorted[rank - 1]
 }
 
+/// Registers one generated `(name, labels)` series on `r`: kind 0 is a
+/// counter, 1 a gauge, anything else a histogram.
+fn register(r: &Registry, (name, labels): &(String, BTreeMap<String, String>), kind: u8, v: u32) {
+    let labels: Vec<(&str, &str)> = labels
+        .iter()
+        .map(|(k, v)| (k.as_str(), v.as_str()))
+        .collect();
+    match kind {
+        0 => r.counter(name, &labels).add(u64::from(v)),
+        1 => r.gauge(name, &labels).set(f64::from(v) / 8.0),
+        _ => r.histogram(name, &labels).observe(f64::from(v) + 0.5),
+    }
+}
+
 proptest! {
+    /// Splitting distinct series across the two registries changes
+    /// nothing an operator sees: the merged rendering equals one registry
+    /// holding every series, and the deterministic rendering holds
+    /// exactly the `registry()` series.
+    #[test]
+    fn registry_split_renders_like_one_registry(
+        series in prop::collection::btree_map(
+            ("[a-z_]{1,8}", prop::collection::btree_map("[a-z]{1,3}", "[ -~]{0,4}", 0..3)),
+            (0u8..3, 0u32..1000, any::<bool>()),
+            0..24,
+        ),
+    ) {
+        // `whole` and `det` keep everything on one registry each.
+        let (t, whole, det) = (Telemetry::new(), Telemetry::new(), Telemetry::new());
+        for (key, &(kind, v, diagnostic)) in &series {
+            let home = if diagnostic { t.diagnostics() } else { t.registry() };
+            register(home, key, kind, v);
+            register(whole.registry(), key, kind, v);
+            if !diagnostic {
+                register(det.registry(), key, kind, v);
+            }
+        }
+        let render = |t: &Telemetry| to_prometheus_text(&t.registry().snapshot());
+        prop_assert_eq!(t.render_prometheus(), render(&whole));
+        prop_assert_eq!(render(&t), render(&det));
+    }
+
     /// A quantile estimate never underestimates the true quantile and
     /// overestimates it by at most one bucket's relative width.
     #[test]
