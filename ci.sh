@@ -40,6 +40,10 @@ cargo run -q -p fj-bench --bin telemetry_smoke
 echo "==> alert smoke (default pack parses; seeded faults must fire)"
 cargo run -q --release -p fj-bench --bin alert_smoke
 
+echo "==> crash-recovery smoke (kill mid-run, resume, diff vs uninterrupted)"
+cargo run -q --release -p fj-bench --bin fleet_recover -- \
+    --dir target/telemetry/recovery
+
 echo "==> fleet throughput smoke (asserts shard-count determinism + dispatch-wait budget)"
 # The ≥2-shard cells run on the persistent worker pool: cumulative
 # dispatch wait (jobs queued behind busy workers) must stay under a
@@ -60,10 +64,6 @@ test -s target/telemetry/progress-bench_fleet.json \
 
 echo "==> perf gate (fresh smoke sweep vs committed BENCH_fleet.json)"
 cargo run -q --release -p fj-bench --bin bench_compare
-
-echo "==> crash-recovery smoke (kill mid-run, resume, diff vs uninterrupted)"
-cargo run -q --release -p fj-bench --bin fleet_recover -- \
-    --dir target/telemetry/recovery
 
 if [[ "${CI_SOAK:-0}" == "1" ]]; then
     echo "==> chaos soak (full)"

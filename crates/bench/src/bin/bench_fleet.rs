@@ -1,6 +1,6 @@
 //! Fleet collection throughput across shard counts.
 //!
-//! Times [`fj_isp::trace::collect_sharded`] over a routers × horizon
+//! Times [`fj_isp::trace::collect_streaming`] over a routers × horizon
 //! sweep at 1/2/4/8 shards, reporting router-rounds per second and the
 //! speedup over the single-shard run. Every parallel trace is compared
 //! against the sequential one — the determinism contract means the
@@ -30,7 +30,7 @@ use std::process::ExitCode;
 use fj_bench::fleetbench::{run_sweep, version_string};
 use fj_bench::EXPERIMENT_SEED;
 use fj_faults::FaultPlan;
-use fj_isp::trace::collect_sharded;
+use fj_isp::trace::{collect_streaming, StreamConfig};
 use fj_isp::{build_fleet, FleetConfig};
 use fj_telemetry::Telemetry;
 use fj_units::{SimDuration, SimInstant};
@@ -112,7 +112,7 @@ fn dispatch_wait_violations(
 fn write_trace(path: &Path) -> Result<(), String> {
     let mut fleet = build_fleet(&FleetConfig::small(EXPERIMENT_SEED));
     let telemetry = Telemetry::with_capacity(1 << 10);
-    collect_sharded(
+    collect_streaming(
         &mut fleet,
         SimInstant::EPOCH,
         SimInstant::from_days(2),
@@ -121,7 +121,10 @@ fn write_trace(path: &Path) -> Result<(), String> {
         &[0, 3],
         &FaultPlan::clean(),
         &telemetry,
-        4,
+        &StreamConfig {
+            shards: 4,
+            ..StreamConfig::default()
+        },
     )
     .map_err(|e| format!("traced collection failed: {e}"))?;
     println!("\n--- self-time profile (4-shard traced smoke run) ---");

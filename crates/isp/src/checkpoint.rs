@@ -157,9 +157,9 @@ pub(crate) struct CheckpointState {
     pub(crate) routers: Vec<RouterState>,
     /// The telemetry bundle: event ring, counters, gauges, span sink.
     pub(crate) telemetry: TelemetryCheckpoint,
-    /// Alert-engine state when the run had alerting configured. `None`
-    /// on plain runs; `Option` keeps old checkpoints readable without a
-    /// version bump (the serde layer maps a missing key to `None`).
+    /// Alert-engine state when the run had alerting configured. A run
+    /// without alerts has no engine state to carry, so this is `None`
+    /// there.
     pub(crate) alerts: Option<fj_alerts::EngineState>,
 }
 

@@ -9,36 +9,36 @@
 //!
 //! # Streaming sharded execution
 //!
-//! Collection is a chunked two-phase engine built on [`fj_par`]. The
-//! horizon is cut into **epoch chunks** of [`StreamConfig::chunk_rounds`]
-//! poll rounds; for each chunk:
+//! Collection is a chunked engine built on [`fj_par`]. The horizon is
+//! cut into **epoch chunks** of [`StreamConfig::chunk_rounds`] poll
+//! rounds, and a run goes through named phases:
 //!
-//! 1. **Simulate** — routers are split into contiguous index shards and
-//!    dispatched to a [`fj_par::WorkerPool`] built once per run (a
-//!    one-shard run's pool spawns no thread and runs each chunk inline);
-//!    each shard runs its routers through the chunk's
-//!    window (events, polls, fault draws, health ladder, prediction)
-//!    with no cross-shard synchronisation, producing columnar
-//!    `RoundRecord` batches. This is sound because every input is
-//!    per-router keyed: fault draws address stream `"snmp/{router}"`
-//!    (and `"wall/{router}"`) at the *global* round index — the
-//!    `(round, router)` cell of a pure oracle and the engine's "RNG
-//!    cursor" — scheduled events each target exactly one router, and
-//!    the simulators share no state.
-//! 2. **Merge** — the main thread drains the chunk's records in strict
-//!    `(round, router-index)` order: per-router series and fleet totals
-//!    accumulate in fleet order, and telemetry (gap cause events, health
-//!    transitions, counters, gauges, adopted spans) is emitted in exactly
-//!    the sequence the old sequential loop produced.
+//! - **resume** — with [`StreamConfig::resume`], restore the newest
+//!   checkpoint that verifies;
+//! - **dispatch** and **wait** — routers are split into contiguous index
+//!   shards on a [`fj_par::WorkerPool`] built once per run (a one-shard
+//!   run's pool spawns no thread and runs each chunk inline); each shard
+//!   runs its routers through the chunk's window (events, polls, fault
+//!   draws, health ladder, prediction) with no cross-shard
+//!   synchronisation, producing columnar `RoundRecord` batches. This is
+//!   sound because every input is per-router keyed: fault draws address
+//!   stream `"snmp/{router}"` (and `"wall/{router}"`) at the *global*
+//!   round index — the `(round, router)` cell of a pure oracle and the
+//!   engine's "RNG cursor" — scheduled events each target exactly one
+//!   router, and the simulators share no state;
+//! - **merge** — the main thread drains the chunk's records in strict
+//!   `(round, router-index)` order: per-router series and fleet totals
+//!   accumulate in fleet order, and telemetry (gap cause events, health
+//!   transitions, counters, gauges, adopted spans) is emitted in exactly
+//!   the sequence the old sequential loop produced;
+//! - **boundary** — alerts, then progress, then checkpoint.
 //!
-//! The two phases **pipeline** at every shard count: each chunk is
-//! waited for, the next chunk is dispatched, and only then is the first
-//! one merged and its boundary (alerts, progress, checkpoint) run, so on
-//! a threaded pool the serial merge overlaps the workers' simulation.
-//! Ownership makes this safe — workers own the router cells
-//! (ping-ponged by value through the pool), the main thread owns all
-//! traces and telemetry emission — so the pipelining is invisible to
-//! every output.
+//! The phases **pipeline** at every shard count: wait for chunk N,
+//! dispatch chunk N+1, merge chunk N, run N's boundary — so on a threaded
+//! pool the serial merge overlaps the workers' simulation. Ownership
+//! makes this safe — workers own the router cells (ping-ponged by value
+//! through the pool), the main thread owns all traces and telemetry
+//! emission — so the pipelining is invisible to every output.
 //!
 //! The engine holds at most two chunks of records at a time — the one
 //! being merged and the one being simulated — so peak record memory is
@@ -53,11 +53,16 @@
 //! whole telemetry bundle — to a CRC-sealed file
 //! ([`crate::checkpoint`]). A supervisor catches shard panics (reported
 //! deterministically by [`fj_par::Pending::wait`] — lowest panicking
-//! shard wins attribution), restores the chunk-boundary state,
-//! and retries with [`fj_faults::Backoff`] up to
+//! shard wins attribution), rewinds every router to the chunk's first
+//! round, and retries with [`fj_faults::Backoff`] up to
 //! [`StreamConfig::max_restarts`] times; a killed process resumes from
 //! the newest verifiable checkpoint ([`StreamConfig::resume`]), falling
 //! back to the previous one when the latest is torn or corrupt.
+//!
+//! Rewind, checkpoint and resume share one per-router snapshot, the
+//! checkpoint's router entry, taken at most once per boundary and only
+//! when a supervised chunk is dispatched or a checkpoint written (or
+//! before the first dispatch, when supervised).
 //!
 //! The contract (tested in `tests/determinism.rs` and
 //! `tests/recovery.rs`): traces, gap markers, telemetry events, and the
@@ -67,7 +72,8 @@
 //! wall-clock speed and memory, never results — the FJ01 determinism
 //! rule extended to parallel *and* interrupted execution. Recovery itself
 //! is observable out-of-band: the flight recorder trips on every restart
-//! and checkpoint rejection.
+//! and checkpoint rejection. `tests/oracle.rs` also holds every shard
+//! count and chunk size to a naive sequential collector.
 //!
 //! A series goes on [`Telemetry::diagnostics`] instead — rendered, never
 //! compared or checkpointed — when a wall clock, the recovery schedule,
@@ -90,7 +96,7 @@ use fj_obs::{EfficiencyAccumulator, ParallelEfficiencyReport};
 use fj_router_sim::SimError;
 use fj_telemetry::{
     Counter, Gauge, Histogram, Level, RunProgress, SpanBuffer, SpanId, SpanTimer, StageSpan,
-    Telemetry, TraceSink, WallEpoch,
+    Telemetry, WallEpoch,
 };
 use fj_traffic::PacketProfile;
 use fj_units::{SimDuration, SimInstant, TimeSeries};
@@ -173,7 +179,7 @@ pub fn collect(
     events: Vec<ScheduledEvent>,
     instrumented: &[usize],
 ) -> Result<FleetTrace, SimError> {
-    collect_sharded(
+    collect_streaming(
         fleet,
         start,
         end,
@@ -182,8 +188,9 @@ pub fn collect(
         instrumented,
         &FaultPlan::clean(),
         fj_telemetry::global(),
-        fj_par::shard_count(),
+        &StreamConfig::default(),
     )
+    .map(|outcome| outcome.trace)
 }
 
 /// What one router's SNMP poll yielded in one round.
@@ -454,34 +461,32 @@ impl RouterCell {
             router,
         }
     }
-}
 
-/// Worker-side state captured at a chunk boundary so a supervised
-/// restart can rewind a half-simulated chunk. Trace state needs no
-/// capture: workers never touch it, and the merge only runs after the
-/// whole chunk succeeded.
-struct BoundaryState {
-    router: FleetRouter,
-    health: TargetHealth,
-    predictor: Vec<(usize, usize, u64, u64)>,
-    next_event: usize,
-}
-
-impl BoundaryState {
-    fn capture(cell: &RouterCell) -> Self {
-        Self {
-            router: cell.router.clone(),
-            health: cell.health.clone(),
-            predictor: cell.predictor.counters_snapshot(),
-            next_event: cell.next_event,
+    /// The engine's one snapshot of a router, trace slot empty: a rewind
+    /// point, or with the merge-owned trace filled in, a checkpoint entry.
+    fn snapshot(&self) -> checkpoint::RouterState {
+        checkpoint::RouterState {
+            router: self.router.clone(),
+            consecutive_failures: self.health.consecutive_failures(),
+            total_failures: self.health.total_failures(),
+            total_successes: self.health.total_successes(),
+            predictor: self.predictor.counters_snapshot(),
+            next_event: u64::try_from(self.next_event).unwrap_or(u64::MAX),
+            trace: RouterTrace::default(),
         }
     }
 
-    fn restore_into(&self, cell: &mut RouterCell) {
-        cell.router = self.router.clone();
-        cell.health = self.health.clone();
-        cell.predictor.restore_counters(&self.predictor);
-        cell.next_event = self.next_event;
+    /// Puts a snapshot back (rewind or resume). The ladder state rederived
+    /// from the failure streak is the captured one: the engine never probes.
+    fn restore(&mut self, state: &checkpoint::RouterState) {
+        self.router = state.router.clone();
+        self.health.restore_counts(
+            state.consecutive_failures,
+            state.total_failures,
+            state.total_successes,
+        );
+        self.predictor.restore_counters(&state.predictor);
+        self.next_event = usize::try_from(state.next_event).unwrap_or(usize::MAX);
     }
 }
 
@@ -657,61 +662,9 @@ fn run_chunk(
     Ok(out)
 }
 
-/// [`collect`] under a fault plan, reporting into an explicit
-/// [`Telemetry`] bundle with an explicit shard count — the deterministic
-/// sharded engine, running as one whole-horizon chunk.
-///
-/// The plan's drop channel, drawn per router per tick (streams
-/// `"snmp/{router}"` and `"wall/{router}"`), decides which polls fail.
-/// Failed polls become gap markers on the per-router series, each with a
-/// Warn cause event stamped with the round's sim time and a `gaps_total`
-/// count by source, and any tick with at least one failed SNMP poll turns
-/// the fleet-total sample into a gap — the total is unknowable when a
-/// contributor is missing. A per-router health ladder is kept in the
-/// gauge `fleet_router_health`.
-///
-/// Phase 1 splits the fleet into `shards` contiguous index ranges and
-/// simulates every router on a worker pool (`shards <= 1` runs inline).
-/// Phase 2 merges on the calling thread in strict `(round,
-/// router-index)` order: fleet totals sum in fleet order (so
-/// floating-point association never depends on the shard count) and all
-/// telemetry — gap cause events, health transitions, gauges, counters —
-/// is emitted exactly as the sequential loop would have. Traces, gap
-/// markers, telemetry events, and counters are bit-identical for every
-/// `shards` value; only wall-clock time changes.
-#[allow(clippy::too_many_arguments)]
-pub fn collect_sharded(
-    fleet: &mut Fleet,
-    start: SimInstant,
-    end: SimInstant,
-    step: SimDuration,
-    events: Vec<ScheduledEvent>,
-    instrumented: &[usize],
-    poll_faults: &FaultPlan,
-    telemetry: &Arc<Telemetry>,
-    shards: usize,
-) -> Result<FleetTrace, SimError> {
-    let config = StreamConfig {
-        shards,
-        ..StreamConfig::default()
-    };
-    collect_streaming(
-        fleet,
-        start,
-        end,
-        step,
-        events,
-        instrumented,
-        poll_faults,
-        telemetry,
-        &config,
-    )
-    .map(|outcome| outcome.trace)
-}
-
 /// Recovery bookkeeping counters, registered only for supervised or
-/// checkpointed runs so a plain [`collect_sharded`] registry snapshot
-/// stays byte-identical to the pre-streaming engine's.
+/// checkpointed runs so a plain run's registry snapshot stays
+/// byte-identical to the pre-streaming engine's.
 ///
 /// `written` is on the deterministic registry (same chunking ⇒ same
 /// count, checkpointed and restored); `recoveries` and `rejected` follow
@@ -803,11 +756,11 @@ impl AlertPlane {
     }
 }
 
-/// Profiler state for one streaming run: the efficiency accumulator plus
-/// the profiler-only series. Like the recovery counters, these series
-/// exist only when the feature is enabled and live on
-/// [`Telemetry::diagnostics`] — they are wall-clock-derived and *should*
-/// differ between otherwise identical runs.
+/// Profiler state for one streaming run: the efficiency accumulator, the
+/// profiler-only series, the progress snapshot and the merge-overlap
+/// bookkeeping. Like the recovery counters, the series exist only when
+/// enabled and live on [`Telemetry::diagnostics`]: they are wall-clock
+/// derived and *should* differ between otherwise identical runs.
 struct RunProfiler {
     epoch: WallEpoch,
     /// Epoch reading when this run started, so rates cover only the work
@@ -819,10 +772,16 @@ struct RunProfiler {
     rounds_per_sec: Gauge,
     shard_busy: Histogram,
     dispatch_wait: Gauge,
+    /// The latest progress snapshot; its run constants are set once.
+    progress: RunProgress,
+    merge_started_us: u64,
+    /// The previous merge interval, until the chunk simulating meanwhile
+    /// is waited for.
+    overlap_pending: Option<(u64, u64)>,
 }
 
 impl RunProfiler {
-    fn new(registry: &fj_telemetry::Registry, epoch: WallEpoch) -> Self {
+    fn new(registry: &fj_telemetry::Registry, epoch: WallEpoch, progress: RunProgress) -> Self {
         Self {
             started_us: epoch.elapsed_micros(),
             epoch,
@@ -832,6 +791,9 @@ impl RunProfiler {
             rounds_per_sec: registry.gauge("fleet_progress_rounds_per_sec", &[]),
             shard_busy: registry.histogram("fleet_shard_busy_seconds", &[]),
             dispatch_wait: registry.gauge("fleet_pool_dispatch_wait_seconds", &[]),
+            progress,
+            merge_started_us: 0,
+            overlap_pending: None,
         }
     }
 
@@ -840,13 +802,28 @@ impl RunProfiler {
         self.epoch.elapsed_micros().saturating_sub(self.started_us)
     }
 
-    /// Folds one merged chunk into the accumulator and refreshes the
-    /// profiler-only series with the run-so-far report.
-    fn record_chunk(&mut self, stats: &fj_par::ShardStats, merge_us: u64) {
+    /// Closes the merge of the chunk dispatched at `dispatched_us` and
+    /// folds it into the accumulator and the profiler-only series. With
+    /// the next chunk simulating, the interval awaits overlap attribution.
+    fn merge_ends(&mut self, stats: &fj_par::ShardStats, dispatched_us: u64, next_in_flight: bool) {
+        let ended_us = self.epoch.elapsed_micros();
+        // How much of the previous merge ran while this chunk's workers
+        // were busy: `dispatched_us + critical_end` is when its last worker
+        // finished (for an inline dispatch, before the merge began).
+        if let Some((m0, m1)) = self.overlap_pending.take() {
+            let workers_end = dispatched_us.saturating_add(stats.critical_end_us());
+            self.acc
+                .record_merge_overlap(workers_end.min(m1).saturating_sub(m0));
+        }
+        // The per-worker spawn wait *is* the dispatch queue wait (channel
+        // send + queueing behind earlier shards on the same worker); an
+        // inline pool's first shard never waits.
+        self.acc.record_pool_dispatch_wait(stats.spawn_wait_us());
         for w in &stats.workers {
             self.shard_busy.observe(w.busy_us as f64 / 1e6);
         }
-        self.acc.record_chunk(stats, merge_us);
+        self.acc
+            .record_chunk(stats, ended_us.saturating_sub(self.merge_started_us));
         let report = self.report();
         self.efficiency.set(report.efficiency);
         self.merge_fraction.set(report.merge_fraction);
@@ -854,18 +831,48 @@ impl RunProfiler {
         // `dispatch_wait_budget` alert rule watches.
         self.dispatch_wait
             .set(report.pool_dispatch_wait_secs.unwrap_or(0.0));
+        if next_in_flight {
+            self.overlap_pending = Some((self.merge_started_us, ended_us));
+        }
     }
 
-    /// Attributes a pool dispatch's queue wait (dispatch entry → each
-    /// shard's first item).
-    fn record_pool_dispatch_wait(&mut self, us: u64) {
-        self.acc.record_pool_dispatch_wait(us);
-    }
-
-    /// Attributes the part of a merge interval that ran while the pool
-    /// was already simulating the next chunk.
-    fn record_merge_overlap(&mut self, us: u64) {
-        self.acc.record_merge_overlap(us);
+    /// Refreshes the progress snapshot at a boundary: the engine's counts,
+    /// plus the rate of the `merged` rounds this run merged, the ETA, and
+    /// the efficiency so far.
+    fn progress(
+        &mut self,
+        chunk: u64,
+        rounds_done: u64,
+        merged: u64,
+        checkpoints_written: u64,
+        recoveries: u32,
+    ) -> RunProgress {
+        let report = self.report();
+        let wall_secs = self.run_us() as f64 / 1e6;
+        let rate = if wall_secs > 0.0 {
+            merged as f64 / wall_secs
+        } else {
+            0.0
+        };
+        self.rounds_per_sec.set(rate);
+        let remaining = self.progress.rounds_total.saturating_sub(rounds_done);
+        self.progress = RunProgress {
+            chunk,
+            rounds_done,
+            wall_secs,
+            rounds_per_sec: rate,
+            eta_secs: if rate > 0.0 {
+                remaining as f64 / rate
+            } else {
+                0.0
+            },
+            checkpoints_written,
+            recoveries: u64::from(recoveries),
+            efficiency: report.efficiency,
+            merge_fraction: report.merge_fraction,
+            ..self.progress.clone()
+        };
+        self.progress.clone()
     }
 
     /// The efficiency report over the run so far.
@@ -874,12 +881,712 @@ impl RunProfiler {
     }
 }
 
-/// The checkpointed streaming engine — [`collect_sharded`] is this with
-/// a default [`StreamConfig`]. See the module docs for the chunked
-/// execution model, the checkpoint/recovery supervisor, and the extended
-/// FJ01 contract (resume-from-checkpoint is bit-identical to an
-/// uninterrupted run at any shard count).
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+/// A verified checkpoint, the telemetry bundle already restored from it:
+/// the state, the reopened root span, and the restored alert engine.
+type Resumed = (checkpoint::CheckpointState, SpanId, Option<AlertEngine>);
+
+/// A chunk on the pool.
+struct InFlight {
+    window: ChunkWindow,
+    /// Profiling clock reading at dispatch (0 when unprofiled).
+    dispatched_us: u64,
+    pending: fj_par::Pending<RouterCell, Result<ChunkOutput, SimError>>,
+}
+
+/// A simulated chunk: cells, records, pool stats, and dispatch stamp.
+type Simulated = (Vec<RouterCell>, Vec<ChunkOutput>, fj_par::ShardStats, u64);
+
+/// One streaming run. The fields are what the phases share; the methods
+/// are the phases, which [`StreamEngine::run`] drives in pipeline order.
+struct StreamEngine<'a> {
+    telemetry: &'a Telemetry,
+    config: &'a StreamConfig,
+    ctx: Arc<RunContext>,
+    end: SimInstant,
+    fingerprint: u64,
+    rounds_total: u64,
+    chunk_rounds: u64,
+    shards: usize,
+    pool: fj_par::WorkerPool,
+    recovery: Option<RecoveryCounters>,
+    metrics: MergeMetrics,
+    alert_plane: Option<AlertPlane>,
+    profiler: Option<RunProfiler>,
+    root_span: SpanId,
+    /// Merge-owned per-router traces, parallel to the cells: the merge
+    /// appends to them while the pool may already hold the cells.
+    traces: Vec<RouterTrace>,
+    trace: FleetTrace,
+    /// Rounds merged so far, a resumed prefix included.
+    round: u64,
+    resumed_at_round: Option<u64>,
+    chunks_done: u64,
+    restarts: u32,
+    backoff: Backoff,
+    checkpoints_written: u64,
+    checkpoints_rejected: u32,
+}
+
+impl<'a> StreamEngine<'a> {
+    /// Builds the engine over `cells`, the caller's routers at round zero.
+    /// A resumed run restores its cells, traces, totals and telemetry from
+    /// the checkpoint; a fresh one opens its root span.
+    fn new(
+        telemetry: &'a Telemetry,
+        config: &'a StreamConfig,
+        ctx: RunContext,
+        end: SimInstant,
+        fingerprint: u64,
+        cells: &mut [RouterCell],
+    ) -> Self {
+        let tracer = telemetry.tracer();
+        let registry = telemetry.registry();
+        let diagnostics = telemetry.diagnostics();
+        // Round count derives from the horizon, not from the workers, so an
+        // empty fleet still records (empty) totals every round.
+        let mut rounds_total: u64 = 0;
+        let mut tt = ctx.start + ctx.step;
+        while tt < end {
+            rounds_total += 1;
+            tt += ctx.step;
+        }
+        let chunk_rounds = match config.chunk_rounds {
+            0 => rounds_total.max(1),
+            n => n,
+        };
+        let shards = match config.shards {
+            0 => fj_par::shard_count(),
+            n => n,
+        };
+        let recovery =
+            (config.checkpoints.is_some() || config.max_restarts > 0).then(|| RecoveryCounters {
+                written: registry.counter("fleet_checkpoints_written_total", &[]),
+                recoveries: diagnostics.counter("fleet_recoveries_total", &[]),
+                rejected: diagnostics.counter("fleet_checkpoints_rejected_total", &[]),
+            });
+
+        let (resumed, checkpoints_rejected) =
+            Self::resume(telemetry, config, fingerprint, cells.len(), &recovery);
+        let mut trace = FleetTrace {
+            step: ctx.step,
+            ..FleetTrace::default()
+        };
+        let mut traces: Vec<RouterTrace> = cells
+            .iter()
+            .map(|c| RouterTrace {
+                name: c.router.name.clone(),
+                model: c.router.sim.spec().model.clone(),
+                ..RouterTrace::default()
+            })
+            .collect();
+        let (root_span, restored_alerts, resumed_at_round) = match resumed {
+            Some((state, root, alert_engine)) => {
+                for ((cell, rt), rs) in cells.iter_mut().zip(&mut traces).zip(state.routers) {
+                    cell.restore(&rs);
+                    *rt = rs.trace;
+                }
+                trace.total_wall = state.total_wall;
+                trace.total_reported = state.total_reported;
+                trace.total_traffic = state.total_traffic;
+                trace.missed_polls = state.missed_polls;
+                (root, alert_engine, Some(state.rounds_done))
+            }
+            None => {
+                let root = tracer.begin_span("fleet_collect", None, ctx.start);
+                (root, None, None)
+            }
+        };
+
+        let metrics = MergeMetrics {
+            rounds: registry.counter("fleet_poll_rounds_total", &[]),
+            snmp_gaps: registry.counter("gaps_total", &[("source", "snmp")]),
+            wall_gaps: registry.counter("gaps_total", &[("source", "wall")]),
+            total_gaps: registry.counter("gaps_total", &[("source", "fleet_total")]),
+            quarantines: registry.counter("fleet_routers_quarantined_total", &[]),
+            round_duration: diagnostics.histogram("fleet_poll_round_duration_seconds", &[]),
+            health: traces
+                .iter()
+                .map(|rt| registry.gauge("fleet_router_health", &[("router", &rt.name)]))
+                .collect(),
+            predictions: registry.counter("fleet_predictions_total", &[]),
+            prediction_errors: registry.counter("fleet_prediction_errors_total", &[]),
+        };
+
+        // The alert plane exists only when configured, like the recovery
+        // counters: a plain run registers none of the `fleet_alerts_*`
+        // series and evaluates nothing.
+        let alert_plane = config.alerts.as_ref().map(|alerts_cfg| {
+            let engine =
+                restored_alerts.unwrap_or_else(|| AlertEngine::new(alerts_cfg.rules.clone()));
+            AlertPlane::new(diagnostics, engine, alerts_cfg.json_path.clone())
+        });
+
+        // Profiler state is created only when asked for: an unprofiled run
+        // registers none of the profiler-only series and takes no clock
+        // reads beyond what the span stamps already do.
+        let profiler = config.profile.then(|| {
+            let run = RunProgress {
+                rounds_done: resumed_at_round.unwrap_or(0),
+                rounds_total,
+                routers: u64::try_from(cells.len()).unwrap_or(u64::MAX),
+                shards: u64::try_from(shards).unwrap_or(u64::MAX),
+                // The chunk being merged plus the one being simulated.
+                est_peak_record_bytes: estimated_peak_record_bytes(
+                    cells.len(),
+                    chunk_rounds.saturating_mul(2).min(rounds_total),
+                ),
+                checkpoints_rejected: u64::from(checkpoints_rejected),
+                ..RunProgress::default()
+            };
+            RunProfiler::new(diagnostics, tracer.epoch(), run)
+        });
+
+        Self {
+            telemetry,
+            config,
+            ctx: Arc::new(ctx),
+            end,
+            fingerprint,
+            rounds_total,
+            chunk_rounds,
+            shards,
+            // One pool per run: threads spawn once and park between chunks
+            // (none for one shard); shard counts above the core count (the
+            // FJ01 1024-shard case) round-robin onto the workers.
+            pool: fj_par::WorkerPool::new(fj_par::clamp_shards(shards)),
+            recovery,
+            metrics,
+            alert_plane,
+            profiler,
+            root_span,
+            traces,
+            trace,
+            round: resumed_at_round.unwrap_or(0),
+            resumed_at_round,
+            chunks_done: 0,
+            restarts: 0,
+            backoff: Backoff::new(Duration::from_millis(2), Duration::from_millis(50))
+                .with_seed(0x464A_434B),
+            checkpoints_written: 0,
+            checkpoints_rejected,
+        }
+    }
+
+    /// Walks candidate checkpoints newest-first. Every rejection — torn
+    /// frame, flipped bit, wrong version, foreign scenario, unrestorable
+    /// telemetry — counts, trips the flight recorder, and falls back to
+    /// the next-older file; verification is transactional, so a rejected
+    /// candidate leaves the telemetry bundle untouched.
+    fn resume(
+        telemetry: &Telemetry,
+        config: &StreamConfig,
+        fingerprint: u64,
+        router_count: usize,
+        recovery: &Option<RecoveryCounters>,
+    ) -> (Option<Resumed>, u32) {
+        let (tracer, mut rejected) = (telemetry.tracer(), 0u32);
+        let dirs = config.checkpoints.iter().filter(|_| config.resume);
+        for path in dirs.flat_map(|ckpt_cfg| checkpoint::candidates(&ckpt_cfg.dir)) {
+            let verdict = checkpoint::load(&path).and_then(|mut state| {
+                if state.fingerprint != fingerprint {
+                    return Err(CheckpointError::Fingerprint {
+                        expected: fingerprint,
+                        found: state.fingerprint,
+                    });
+                }
+                if state.routers.len() != router_count {
+                    return Err(CheckpointError::Parse(format!(
+                        "checkpoint has {} routers, fleet has {router_count}",
+                        state.routers.len()
+                    )));
+                }
+                // The open root span must be restorable *before* the
+                // bundle is mutated, keeping rejection transactional.
+                let open = &state.telemetry.trace.open;
+                if !open.iter().any(|s| s.name == "fleet_collect") {
+                    return Err(CheckpointError::Parse(
+                        "checkpoint has no open fleet_collect span".to_owned(),
+                    ));
+                }
+                // The alert engine restores *before* the bundle is
+                // mutated, keeping rejection transactional. A run
+                // configured with alerts cannot resume a checkpoint
+                // written without them (the verdict stream would
+                // diverge from an uninterrupted run's); a run
+                // without alerts ignores any checkpointed state.
+                let alert_engine = match (&config.alerts, state.alerts.take()) {
+                    (Some(alerts_cfg), Some(engine_state)) => Some(
+                        AlertEngine::restore(alerts_cfg.rules.clone(), engine_state)
+                            .map_err(CheckpointError::Parse)?,
+                    ),
+                    (Some(_), None) => {
+                        return Err(CheckpointError::Parse(
+                            "checkpoint carries no alert state but alerts are configured".into(),
+                        ))
+                    }
+                    (None, _) => None,
+                };
+                telemetry
+                    .restore_state(&state.telemetry, SPAN_NAMES)
+                    .map_err(CheckpointError::Parse)?;
+                let root = tracer.resume_open_span("fleet_collect").ok_or_else(|| {
+                    CheckpointError::Parse("open fleet_collect span vanished".to_owned())
+                })?;
+                Ok((state, root, alert_engine))
+            });
+            let err = match verdict {
+                Ok(hit) => return (Some(hit), rejected),
+                Err(err) => err,
+            };
+            rejected += 1;
+            if let Some(rc) = recovery {
+                rc.rejected.inc();
+            }
+            let _ = telemetry.trip_flight_recorder(
+                "checkpoint rejected",
+                &[
+                    ("path", path.display().to_string()),
+                    ("error", err.to_string()),
+                ],
+            );
+        }
+        (None, rejected)
+    }
+
+    /// The loop: wait for chunk N, dispatch chunk N+1, merge chunk N
+    /// while N+1 simulates, then run N's boundary. Hands the cells back
+    /// with the outcome, after a worker's `SimError` too.
+    fn run(mut self, cells: Vec<RouterCell>) -> (Vec<RouterCell>, Result<StreamOutcome, SimError>) {
+        let supervising = self.config.max_restarts > 0;
+        let mut rewind: Option<Vec<checkpoint::RouterState>> =
+            supervising.then(|| cells.iter().map(RouterCell::snapshot).collect());
+        let mut inflight = self.dispatch(self.round, cells);
+        let cells = loop {
+            let window = inflight.window;
+            let (cells, outs, stats, dispatched_us) = match self.wait(inflight, rewind.take()) {
+                Ok(chunk) => chunk,
+                Err((e, cells)) => return (cells, Err(e)),
+            };
+            // Dispatch chunk N+1 *before* merging chunk N: that is the
+            // pipeline. `stop_after_chunks` counts this chunk, so a
+            // stopping run never simulates past the rounds it reports and
+            // the returned fleet state matches an unpipelined engine's.
+            let more = window.end < self.rounds_total;
+            let limit = self.config.stop_after_chunks;
+            let stop = limit.is_some_and(|n| self.chunks_done + 1 >= n);
+            // The boundary's one snapshot, taken while the cells are in
+            // hand: the merge never touches sim-side fields, so it is both
+            // N's checkpoint payload and N+1's rewind point.
+            let snapshot = (more && ((supervising && !stop) || self.config.checkpoints.is_some()))
+                .then(|| cells.iter().map(RouterCell::snapshot).collect());
+            let next = if more && !stop {
+                ControlFlow::Continue(self.dispatch(window.end, cells))
+            } else {
+                ControlFlow::Break(cells)
+            };
+            let at = self.merge(window, outs);
+            let snapshot = self.boundary(at, &stats, dispatched_us, snapshot, next.is_continue());
+            match next {
+                ControlFlow::Continue(following) => {
+                    inflight = following;
+                    rewind = snapshot.filter(|_| supervising);
+                }
+                ControlFlow::Break(cells) => break cells,
+            }
+        };
+        let completed = self.round >= self.rounds_total;
+        if completed {
+            self.telemetry.tracer().end_span(self.root_span, self.end);
+        }
+        self.trace.routers = self.traces;
+        let outcome = StreamOutcome {
+            efficiency: self.profiler.as_ref().map(RunProfiler::report),
+            alerts: self.alert_plane.map(|p| p.engine),
+            trace: self.trace,
+            completed,
+            rounds_done: self.round,
+            rounds_total: self.rounds_total,
+            restarts: self.restarts,
+            resumed_at_round: self.resumed_at_round,
+            checkpoints_rejected: self.checkpoints_rejected,
+        };
+        (cells, Ok(outcome))
+    }
+
+    /// Submits the chunk starting at global round `first` to the pool. A
+    /// profiled run stamps the dispatch with the tracer's epoch; an
+    /// unprofiled run's clock returns 0 and takes no wall reads.
+    fn dispatch(&self, first: u64, cells: Vec<RouterCell>) -> InFlight {
+        let end = u64::min(first.saturating_add(self.chunk_rounds), self.rounds_total);
+        let window = ChunkWindow { first, end };
+        let epoch = self.profiler.as_ref().map(|p| p.epoch);
+        let clock = move || epoch.map_or(0, |e| e.elapsed_micros());
+        let ctx = Arc::clone(&self.ctx);
+        let run = move |i: usize, cell: &mut RouterCell| run_chunk(&ctx, window, i, cell);
+        InFlight {
+            window,
+            dispatched_us: clock(),
+            pending: self.pool.submit(cells, self.shards, clock, run),
+        }
+    }
+
+    /// Waits for a chunk dispatched from the cells `rewind` snapshots. The
+    /// first worker error in fleet order ends the run, as in the
+    /// sequential loop, and hands the cells back. A shard panic rewinds
+    /// every cell and retries within [`StreamConfig::max_restarts`];
+    /// unsupervised, or with the budget spent, it trips the flight
+    /// recorder and re-raises.
+    fn wait(
+        &mut self,
+        mut inflight: InFlight,
+        rewind: Option<Vec<checkpoint::RouterState>>,
+    ) -> Result<Simulated, (SimError, Vec<RouterCell>)> {
+        loop {
+            let done = inflight.pending.wait();
+            let mut cells = done.items;
+            let shard_panic = match done.result {
+                Ok(results) => {
+                    return match results.into_iter().collect::<Result<Vec<_>, _>>() {
+                        Ok(outs) => Ok((cells, outs, done.stats, inflight.dispatched_us)),
+                        Err(e) => Err((e, cells)),
+                    };
+                }
+                Err(p) => p,
+            };
+            // A wedged pool worker loses its shard's cells; only a
+            // complete set can be rewound and retried.
+            let Some(points) = rewind
+                .as_ref()
+                .filter(|r| r.len() == cells.len() && self.restarts < self.config.max_restarts)
+            else {
+                // Crash context first, then the panic proceeds as a
+                // sequential run's would.
+                let _ = self.telemetry.trip_flight_recorder(
+                    "shard worker panicked",
+                    &[("shard", shard_panic.shard.to_string())],
+                );
+                shard_panic.resume();
+            };
+            // Count it, capture crash context, rewind every cell (healthy
+            // shards already advanced through the chunk), back off, retry.
+            // Nothing here touches the deterministic surface: no events,
+            // no span ids, no series — only the recovery-excluded counter
+            // and the (armed-only) flight recorder.
+            self.restarts += 1;
+            if let Some(rc) = &self.recovery {
+                rc.recoveries.inc();
+            }
+            let _ = self.telemetry.trip_flight_recorder(
+                "shard worker panicked",
+                &[
+                    ("shard", shard_panic.shard.to_string()),
+                    ("chunk_first_round", inflight.window.first.to_string()),
+                    ("restart", self.restarts.to_string()),
+                ],
+            );
+            for (cell, point) in cells.iter_mut().zip(points.iter()) {
+                cell.restore(point);
+            }
+            std::thread::sleep(self.backoff.next_delay(Duration::ZERO));
+            inflight = self.dispatch(inflight.window.first, cells);
+        }
+    }
+
+    /// Merges one chunk on the calling thread: drains the columnar records
+    /// in strict `(round, router-index)` order, writing per-router series,
+    /// fleet totals, and all telemetry exactly as the sequential loop
+    /// would have. Returns the sim time the chunk ends at, where its
+    /// boundary stands.
+    fn merge(&mut self, window: ChunkWindow, mut outs: Vec<ChunkOutput>) -> SimInstant {
+        debug_assert!(outs
+            .iter()
+            .all(|o| o.records.len()
+                == usize::try_from(window.end - window.first).unwrap_or(usize::MAX)));
+        // Chunk spans carry the window's sim extent; the whole-horizon
+        // chunk spans exactly `[start, end]`.
+        let (start, step) = (self.ctx.start, self.ctx.step);
+        let chunk_start = match window.first {
+            0 => start,
+            first => round_time(start, step, first - 1),
+        };
+        let chunk_end = if window.end == self.rounds_total {
+            self.end
+        } else {
+            round_time(start, step, window.end - 1)
+        };
+        let telemetry = self.telemetry;
+        let tracer = telemetry.tracer();
+        // The sim span is begun only after the chunk's workers succeeded:
+        // a supervised retry must not consume span ids, or resumed and
+        // uninterrupted runs would diverge.
+        let sim_span = tracer.begin_span("fleet_simulate", Some(self.root_span), chunk_start);
+        tracer.end_span(sim_span, chunk_end);
+        // The profiler's "merge" starts here: span absorption, the replay,
+        // and the boundary's alert evaluation.
+        if let Some(p) = &mut self.profiler {
+            p.merge_started_us = p.epoch.elapsed_micros();
+        }
+        // Fold each worker's complete stage totals (and span-drop
+        // counts) into the sink before replay, in fleet order.
+        for o in &outs {
+            tracer.absorb_worker(Some(sim_span), &o.spans);
+        }
+        let merge_span = tracer.begin_span("fleet_merge", Some(self.root_span), chunk_start);
+        let (metrics, traces, trace) = (&self.metrics, &mut self.traces, &mut self.trace);
+        for round in window.first..window.end {
+            let t = round_time(start, step, round);
+            // Stamp the sim clock first: every event emitted this round —
+            // gap causes included — carries the round's timestamp, so gap
+            // markers on the trace join to their cause events by `ts`.
+            telemetry.set_now(t);
+            metrics.rounds.inc();
+            let round_span = SpanTimer::wall(metrics.round_duration.clone());
+            let rec_index = usize::try_from(round - window.first).unwrap_or(usize::MAX);
+
+            let mut total_wall = 0.0;
+            let mut total_reported = 0.0;
+            let mut total_traffic = 0.0;
+            let mut reported_unknown = false;
+            for (i, (rt, out)) in traces.iter_mut().zip(outs.iter_mut()).enumerate() {
+                let rec = out.records[rec_index];
+                // Adopt this router's worker spans for the round *before*
+                // emitting its telemetry: sequential ids in strict
+                // `(round, router-index)` order — the trace stream is
+                // bit-identical at any shard count — and fault cause events
+                // always land after the span they join to.
+                let lane = u32::try_from(i + 1).unwrap_or(u32::MAX);
+                for span_rec in out.spans.drain_through(round) {
+                    tracer.adopt(Some(sim_span), lane, span_rec, Some(&rt.name));
+                }
+                total_wall += rec.wall;
+                total_traffic += rec.traffic_contrib;
+
+                match rec.snmp {
+                    SnmpPoll::Value(v) => {
+                        rt.psu_reported.push(t, v);
+                        total_reported += v;
+                        if let Some((before, _)) = rec.transition {
+                            metrics.health[i].set(0.0);
+                            telemetry.event(
+                                Level::Info,
+                                "fleet.collect",
+                                "router health transition",
+                                &[
+                                    ("router", rt.name.clone()),
+                                    ("from", before.label().to_owned()),
+                                    ("to", "healthy".to_owned()),
+                                ],
+                            );
+                        }
+                    }
+                    SnmpPoll::Gap => {
+                        // Missed poll: an explicit gap, never a zero. With a
+                        // contributor unknown, the fleet total is unknown
+                        // too.
+                        rt.psu_reported.push_gap(t);
+                        trace.missed_polls += 1;
+                        reported_unknown = true;
+                        metrics.snmp_gaps.inc();
+                        telemetry.event(
+                            Level::Warn,
+                            "fleet.collect",
+                            "snmp poll dropped, gap recorded",
+                            &[("router", rt.name.clone()), ("series", "snmp".to_owned())],
+                        );
+                        if let Some((before, after)) = rec.transition {
+                            metrics.health[i].set(health_level(after));
+                            if after == HealthState::Quarantined {
+                                metrics.quarantines.inc();
+                            }
+                            telemetry.event(
+                                Level::Warn,
+                                "fleet.collect",
+                                "router health transition",
+                                &[
+                                    ("router", rt.name.clone()),
+                                    ("from", before.label().to_owned()),
+                                    ("to", after.label().to_owned()),
+                                ],
+                            );
+                            if before == HealthState::Healthy {
+                                // Leaving Healthy is the dump trigger: the
+                                // recorder (if armed) captures the recent
+                                // span+event rings at the first failure.
+                                let _ = telemetry.trip_flight_recorder(
+                                    "router health ladder left healthy",
+                                    &[
+                                        ("router", rt.name.clone()),
+                                        ("to", after.label().to_owned()),
+                                    ],
+                                );
+                            }
+                        }
+                    }
+                    SnmpPoll::NonReporting => total_reported += rec.wall,
+                }
+
+                match rec.wall_read {
+                    WallRead::Value => rt.wall.push(t, rec.wall),
+                    WallRead::Gap => {
+                        rt.wall.push_gap(t);
+                        trace.missed_polls += 1;
+                        metrics.wall_gaps.inc();
+                        telemetry.event(
+                            Level::Warn,
+                            "fleet.collect",
+                            "wall-meter read dropped, gap recorded",
+                            &[("router", rt.name.clone()), ("series", "wall".to_owned())],
+                        );
+                    }
+                    WallRead::NotInstrumented => {}
+                }
+
+                rt.traffic.push(t, rec.traffic);
+                if let Some(p) = rec.predicted {
+                    rt.predicted.push(t, p);
+                    // Prediction-accuracy counters for the SLO plane: every
+                    // predicted round has wall truth in hand; a miss is a
+                    // relative error outside the tolerance band. Both are
+                    // deterministic (same records ⇒ same counts) and feed
+                    // the `prediction_error_burn` burn-rate rule.
+                    metrics.predictions.inc();
+                    if (p - rec.wall).abs() > PREDICTION_ERROR_TOLERANCE * rec.wall.abs().max(1.0) {
+                        metrics.prediction_errors.inc();
+                    }
+                }
+            }
+
+            trace.total_wall.push(t, total_wall);
+            if reported_unknown {
+                trace.total_reported.push_gap(t);
+                metrics.total_gaps.inc();
+                telemetry.event(
+                    Level::Warn,
+                    "fleet.collect",
+                    "fleet total unknowable, gap recorded",
+                    &[("series", "fleet_total".to_owned())],
+                );
+            } else {
+                trace.total_reported.push(t, total_reported);
+            }
+            trace.total_traffic.push(t, total_traffic);
+
+            round_span.finish();
+        }
+        tracer.end_span(merge_span, chunk_end);
+        self.round = window.end;
+        self.chunks_done += 1;
+        chunk_end
+    }
+
+    /// The boundary at sim time `at`, after a merge: alerts, then
+    /// progress, then checkpoint. Alerts evaluate *before* the checkpoint
+    /// write, so the checkpoint carries the post-eval engine state and a
+    /// resumed run continues the verdict stream exactly (the boundary is
+    /// never re-evaluated). Hands the snapshot back, trace slots empty.
+    fn boundary(
+        &mut self,
+        at: SimInstant,
+        stats: &fj_par::ShardStats,
+        dispatched_us: u64,
+        snapshot: Option<Vec<checkpoint::RouterState>>,
+        next_in_flight: bool,
+    ) -> Option<Vec<checkpoint::RouterState>> {
+        let (telemetry, config) = (self.telemetry, self.config);
+        if let Some(plane) = &mut self.alert_plane {
+            plane.eval(telemetry, at);
+        }
+        if let Some(p) = &mut self.profiler {
+            p.merge_ends(stats, dispatched_us, next_in_flight);
+            telemetry.publish_progress(p.progress(
+                self.chunks_done,
+                self.round,
+                self.round - self.resumed_at_round.unwrap_or(0),
+                self.checkpoints_written,
+                self.restarts,
+            ));
+            if let Some(path) = &config.progress_path {
+                if let Err(e) = telemetry.write_progress_json(path) {
+                    // A failed progress write degrades observability, not
+                    // correctness; capture context if the recorder is armed.
+                    let _ = telemetry
+                        .trip_flight_recorder("progress write failed", &[("error", e.to_string())]);
+                }
+            }
+        }
+        match (&config.checkpoints, snapshot) {
+            (Some(ckpt_cfg), Some(routers)) if self.round < self.rounds_total => {
+                Some(self.checkpoint(ckpt_cfg, at, routers))
+            }
+            (_, snapshot) => snapshot,
+        }
+    }
+
+    /// Writes the checkpoint at sim time `at`. Its span and counter are
+    /// recorded *before* serialization, so the file carries its own
+    /// bookkeeping and a resumed run continues the sequence exactly. The
+    /// snapshot's trace slots hold the merge-owned traces for the write.
+    fn checkpoint(
+        &mut self,
+        ckpt_cfg: &CheckpointConfig,
+        at: SimInstant,
+        routers: Vec<checkpoint::RouterState>,
+    ) -> Vec<checkpoint::RouterState> {
+        self.checkpoints_written += 1;
+        if let Some(rc) = &self.recovery {
+            rc.written.inc();
+        }
+        let (telemetry, plane) = (self.telemetry, self.alert_plane.as_ref());
+        let tracer = telemetry.tracer();
+        let ck_span = tracer.begin_span("fleet_checkpoint", Some(self.root_span), at);
+        tracer.end_span(ck_span, at);
+        let mut state = checkpoint::CheckpointState {
+            version: checkpoint::CHECKPOINT_VERSION,
+            fingerprint: self.fingerprint,
+            rounds_done: self.round,
+            missed_polls: self.trace.missed_polls,
+            total_wall: self.trace.total_wall.clone(),
+            total_reported: self.trace.total_reported.clone(),
+            total_traffic: self.trace.total_traffic.clone(),
+            routers,
+            telemetry: telemetry.checkpoint_state(),
+            alerts: plane.map(|p| p.engine.checkpoint_state()),
+        };
+        for (rs, rt) in state.routers.iter_mut().zip(&mut self.traces) {
+            std::mem::swap(&mut rs.trace, rt);
+        }
+        if let Err(e) = checkpoint::write(ckpt_cfg, self.round, &state) {
+            // A failed write degrades durability, not correctness: the
+            // run continues, resumable only from the previous checkpoint.
+            // Worth a dump if the recorder is armed.
+            let _ = telemetry
+                .trip_flight_recorder("checkpoint write failed", &[("error", e.to_string())]);
+        }
+        for (rs, rt) in state.routers.iter_mut().zip(&mut self.traces) {
+            std::mem::swap(&mut rs.trace, rt);
+        }
+        state.routers
+    }
+}
+
+/// [`collect`] under a fault plan, into an explicit [`Telemetry`] bundle,
+/// as configured by `config` — the checkpointed streaming engine.
+/// [`StreamConfig::default`] runs the horizon as one chunk.
+///
+/// The plan's drop channel, drawn per router per tick (streams
+/// `"snmp/{router}"` and `"wall/{router}"`), decides which polls fail.
+/// Failed polls become gap markers on the per-router series, each with a
+/// Warn cause event stamped with the round's sim time and a `gaps_total`
+/// count by source, and any tick with at least one failed SNMP poll turns
+/// the fleet-total sample into a gap — the total is unknowable when a
+/// contributor is missing. A per-router health ladder is kept in the
+/// gauge `fleet_router_health`.
+///
+/// The merge runs in strict `(round, router-index)` order: fleet totals
+/// sum in fleet order, so floating-point association never depends on the
+/// shard count. See the module docs for the phases, the supervisor, and
+/// the extended FJ01 contract.
+#[allow(clippy::too_many_arguments)]
 pub fn collect_streaming(
     fleet: &mut Fleet,
     start: SimInstant,
@@ -891,6 +1598,8 @@ pub fn collect_streaming(
     telemetry: &Arc<Telemetry>,
     config: &StreamConfig,
 ) -> Result<StreamOutcome, SimError> {
+    // Set up: sort, validate and fingerprint the events, then split them
+    // per router once per run (each router's list stays time-sorted).
     assert!(step.is_positive(), "poll period must be positive");
     sort_events(&mut events);
     let router_count = fleet.routers.len();
@@ -902,28 +1611,6 @@ pub fn collect_streaming(
             e.kind.router()
         );
     }
-    let shards = if config.shards == 0 {
-        fj_par::shard_count()
-    } else {
-        config.shards
-    };
-
-    // Round count derives from the horizon, not from the workers, so an
-    // empty fleet still records (empty) totals every round.
-    let mut rounds_total: u64 = 0;
-    {
-        let mut tt = start + step;
-        while tt < end {
-            rounds_total += 1;
-            tt += step;
-        }
-    }
-    let chunk_rounds = if config.chunk_rounds == 0 {
-        rounds_total.max(1)
-    } else {
-        config.chunk_rounds
-    };
-
     let fingerprint = checkpoint::scenario_fingerprint(
         start,
         end,
@@ -933,733 +1620,31 @@ pub fn collect_streaming(
         poll_faults,
         &fleet.routers,
     );
-    // Split the events per router once per run: the flat list is
-    // time-sorted, so each router's list is too.
     let mut router_events = vec![Vec::new(); router_count];
     for e in events {
         router_events[e.kind.router()].push(e);
     }
-
-    let tracer = telemetry.tracer();
-    let registry = telemetry.registry();
-    let diagnostics = telemetry.diagnostics();
-    let recovery =
-        (config.checkpoints.is_some() || config.max_restarts > 0).then(|| RecoveryCounters {
-            written: registry.counter("fleet_checkpoints_written_total", &[]),
-            recoveries: diagnostics.counter("fleet_recoveries_total", &[]),
-            rejected: diagnostics.counter("fleet_checkpoints_rejected_total", &[]),
-        });
-
-    // Resume: walk candidate checkpoints newest-first. Every rejection —
-    // torn frame, flipped bit, wrong version, foreign scenario,
-    // unrestorable telemetry — trips the flight recorder and falls back
-    // to the next-older file; verification is transactional, so a
-    // rejected candidate leaves the telemetry bundle untouched.
-    let mut checkpoints_rejected = 0u32;
-    let mut restored: Option<(checkpoint::CheckpointState, SpanId, Option<AlertEngine>)> = None;
-    if config.resume {
-        if let Some(ckpt_cfg) = &config.checkpoints {
-            for path in checkpoint::candidates(&ckpt_cfg.dir) {
-                let verdict = checkpoint::load(&path).and_then(|mut state| {
-                    if state.fingerprint != fingerprint {
-                        return Err(CheckpointError::Fingerprint {
-                            expected: fingerprint,
-                            found: state.fingerprint,
-                        });
-                    }
-                    if state.routers.len() != router_count {
-                        return Err(CheckpointError::Parse(format!(
-                            "checkpoint has {} routers, fleet has {router_count}",
-                            state.routers.len()
-                        )));
-                    }
-                    // The open root span must be restorable *before* the
-                    // bundle is mutated, keeping rejection transactional.
-                    if !state
-                        .telemetry
-                        .trace
-                        .open
-                        .iter()
-                        .any(|s| s.name == "fleet_collect")
-                    {
-                        return Err(CheckpointError::Parse(
-                            "checkpoint has no open fleet_collect span".to_owned(),
-                        ));
-                    }
-                    // The alert engine restores *before* the bundle is
-                    // mutated, keeping rejection transactional. A run
-                    // configured with alerts cannot resume a checkpoint
-                    // written without them (the verdict stream would
-                    // diverge from an uninterrupted run's); a run
-                    // without alerts ignores any checkpointed state.
-                    let alert_engine = match &config.alerts {
-                        Some(alerts_cfg) => {
-                            let engine_state = state.alerts.take().ok_or_else(|| {
-                                CheckpointError::Parse(
-                                    "checkpoint carries no alert state but alerts are configured"
-                                        .to_owned(),
-                                )
-                            })?;
-                            Some(
-                                AlertEngine::restore(alerts_cfg.rules.clone(), engine_state)
-                                    .map_err(CheckpointError::Parse)?,
-                            )
-                        }
-                        None => None,
-                    };
-                    telemetry
-                        .restore_state(&state.telemetry, SPAN_NAMES)
-                        .map_err(CheckpointError::Parse)?;
-                    let root = tracer.resume_open_span("fleet_collect").ok_or_else(|| {
-                        CheckpointError::Parse("open fleet_collect span vanished".to_owned())
-                    })?;
-                    Ok((state, root, alert_engine))
-                });
-                match verdict {
-                    Ok(hit) => {
-                        restored = Some(hit);
-                        break;
-                    }
-                    Err(err) => {
-                        checkpoints_rejected += 1;
-                        if let Some(rc) = &recovery {
-                            rc.rejected.inc();
-                        }
-                        let _ = telemetry.trip_flight_recorder(
-                            "checkpoint rejected",
-                            &[
-                                ("path", path.display().to_string()),
-                                ("error", err.to_string()),
-                            ],
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    let mut trace;
-    let first_round;
-    let root_span;
-    let mut resumed_at_round = None;
-    // Sim-side cells (pool-dispatched) and merge-owned per-router traces
-    // are kept in two parallel vectors: the merge appends to `traces`
-    // while the pool may already hold `cells` for the next chunk.
-    let mut cells: Vec<RouterCell>;
-    let mut traces: Vec<RouterTrace>;
-    let mut restored_alerts: Option<AlertEngine> = None;
-    match restored {
-        Some((state, root, alert_engine)) => {
-            restored_alerts = alert_engine;
-            root_span = root;
-            first_round = state.rounds_done;
-            resumed_at_round = Some(state.rounds_done);
-            trace = FleetTrace {
-                step,
-                routers: Vec::new(),
-                total_wall: state.total_wall,
-                total_reported: state.total_reported,
-                total_traffic: state.total_traffic,
-                missed_polls: state.missed_polls,
-            };
-            // The checkpoint replaces the caller's (round-zero) router
-            // state wholesale; it is handed back on return.
-            fleet.routers.clear();
-            cells = Vec::with_capacity(state.routers.len());
-            traces = Vec::with_capacity(state.routers.len());
-            for (i, rs) in state.routers.into_iter().enumerate() {
-                let mut cell = RouterCell::new(rs.router, instrumented.contains(&i));
-                cell.health.restore_counts(
-                    rs.consecutive_failures,
-                    rs.total_failures,
-                    rs.total_successes,
-                );
-                cell.predictor.restore_counters(&rs.predictor);
-                cell.next_event = usize::try_from(rs.next_event).unwrap_or(usize::MAX);
-                traces.push(rs.trace);
-                cells.push(cell);
-            }
-        }
-        None => {
-            root_span = tracer.begin_span("fleet_collect", None, start);
-            first_round = 0;
-            trace = FleetTrace {
-                step,
-                ..Default::default()
-            };
-            let routers = std::mem::take(&mut fleet.routers);
-            cells = Vec::with_capacity(routers.len());
-            traces = Vec::with_capacity(routers.len());
-            for (i, router) in routers.into_iter().enumerate() {
-                traces.push(RouterTrace {
-                    name: router.name.clone(),
-                    model: router.sim.spec().model.clone(),
-                    ..Default::default()
-                });
-                cells.push(RouterCell::new(router, instrumented.contains(&i)));
-            }
-        }
-    }
-
-    let metrics = MergeMetrics {
-        rounds: registry.counter("fleet_poll_rounds_total", &[]),
-        snmp_gaps: registry.counter("gaps_total", &[("source", "snmp")]),
-        wall_gaps: registry.counter("gaps_total", &[("source", "wall")]),
-        total_gaps: registry.counter("gaps_total", &[("source", "fleet_total")]),
-        quarantines: registry.counter("fleet_routers_quarantined_total", &[]),
-        round_duration: diagnostics.histogram("fleet_poll_round_duration_seconds", &[]),
-        health: traces
-            .iter()
-            .map(|rt| registry.gauge("fleet_router_health", &[("router", &rt.name)]))
-            .collect(),
-        predictions: registry.counter("fleet_predictions_total", &[]),
-        prediction_errors: registry.counter("fleet_prediction_errors_total", &[]),
-    };
-
-    // The alert plane exists only when configured, like the recovery
-    // counters: a plain run registers none of the `fleet_alerts_*`
-    // series and evaluates nothing.
-    let mut alert_plane = config.alerts.as_ref().map(|alerts_cfg| {
-        let engine = restored_alerts
-            .take()
-            .unwrap_or_else(|| AlertEngine::new(alerts_cfg.rules.clone()));
-        AlertPlane::new(diagnostics, engine, alerts_cfg.json_path.clone())
-    });
-
-    // Profiler state is created only when asked for: an unprofiled run
-    // registers none of the profiler-only series and takes no clock
-    // reads beyond what the span stamps already do.
-    let mut profiler = config
-        .profile
-        .then(|| RunProfiler::new(diagnostics, tracer.epoch()));
-    let mut checkpoints_written = 0u64;
-
-    let supervising = config.max_restarts > 0;
-    let mut restarts = 0u32;
-    let mut backoff =
-        Backoff::new(Duration::from_millis(2), Duration::from_millis(50)).with_seed(0x464A_434B);
-    let mut round = first_round;
-    let mut chunks_done = 0u64;
-
-    // One pool per run, sized to the host: threads are spawned once here
-    // and parked on their channels between chunks; a one-shard run's pool
-    // spawns none and runs each chunk inline inside `submit`. Shard counts
-    // above the core count (the FJ01 1024-shard case) round-robin onto the
-    // available workers deterministically.
-    let pool = fj_par::WorkerPool::new(fj_par::clamp_shards(shards));
-    let ctx = Arc::new(RunContext {
+    let ctx = RunContext {
         start,
         step,
         packets: fleet.packets.clone(),
         events: router_events,
         poll_faults: poll_faults.clone(),
-        epoch: tracer.epoch(),
+        epoch: telemetry.tracer().epoch(),
         chaos: config.chaos_panic.clone(),
-    });
-    // Profiling stamps dispatches with the tracer's epoch; an unprofiled
-    // run's clock returns 0 and takes no wall reads.
-    let profile_epoch = profiler.as_ref().map(|p| p.epoch);
-    let clock = move || profile_epoch.map_or(0, |e| e.elapsed_micros());
-    // Starts one chunk on the pool, returning the clock reading at
-    // dispatch with the pending handle.
-    let dispatch = |window: ChunkWindow, cells: Vec<RouterCell>| {
-        let ctx = Arc::clone(&ctx);
-        let run = move |i: usize, cell: &mut RouterCell| run_chunk(&ctx, window, i, cell);
-        (clock(), pool.submit(cells, shards, clock, run))
-    };
-    let window_at = |first: u64| ChunkWindow {
-        first,
-        end: rounds_total.min(first.saturating_add(chunk_rounds)),
     };
 
-    // Pipelined dispatch state. The first chunk is dispatched before the
-    // loop; each iteration then waits on chunk N, dispatches chunk N+1,
-    // merges chunk N while N+1 simulates, and runs N's boundary.
-    // `boundary` is the worker-side rewind point for supervised restarts,
-    // captured at every dispatch; the merge side needs none — it only
-    // runs after the chunk succeeded.
-    let mut window = window_at(round);
-    let mut boundary: Option<Vec<BoundaryState>> =
-        supervising.then(|| cells.iter().map(BoundaryState::capture).collect());
-    let (mut dispatched_us, mut pending) = dispatch(window, cells);
-    // Merge interval of the previous chunk, awaiting overlap attribution
-    // against the dispatch currently in flight.
-    let mut overlap_pending: Option<(u64, u64)> = None;
-    let final_cells = loop {
-        // 1. Wait for chunk N, supervising panics: restore the
-        // chunk-boundary state, back off, re-dispatch the same window.
-        let (cells_now, outs, chunk_stats) = loop {
-            let fj_par::Completed {
-                items: mut got,
-                result,
-                stats,
-            } = pending.wait();
-            match result {
-                // First error in fleet order, matching the sequential loop.
-                Ok(results) => match results.into_iter().collect::<Result<Vec<_>, _>>() {
-                    Ok(outs) => break (got, outs, stats),
-                    Err(e) => {
-                        fleet.routers = got.into_iter().map(|c| c.router).collect();
-                        return Err(e);
-                    }
-                },
-                Err(p) => {
-                    // A wedged pool worker loses its shard's cells; only
-                    // a complete set can be rewound and retried.
-                    let restorable = got.len() == router_count;
-                    if let (Some(bounds), true, true) =
-                        (&boundary, restarts < config.max_restarts, restorable)
-                    {
-                        // Supervised recovery: count it, capture crash
-                        // context, rewind every cell to the chunk
-                        // boundary (panicked *and* healthy shards — a
-                        // healthy shard already advanced through the
-                        // chunk), back off, retry. Nothing here touches
-                        // the deterministic surface: no events, no span
-                        // ids, no series — only the recovery-excluded
-                        // counter and the (armed-only) flight recorder.
-                        restarts += 1;
-                        if let Some(rc) = &recovery {
-                            rc.recoveries.inc();
-                        }
-                        let _ = telemetry.trip_flight_recorder(
-                            "shard worker panicked",
-                            &[
-                                ("shard", p.shard.to_string()),
-                                ("chunk_first_round", window.first.to_string()),
-                                ("restart", restarts.to_string()),
-                            ],
-                        );
-                        for (cell, b) in got.iter_mut().zip(bounds.iter()) {
-                            b.restore_into(cell);
-                        }
-                        std::thread::sleep(backoff.next_delay(Duration::ZERO));
-                        (dispatched_us, pending) = dispatch(window, got);
-                    } else {
-                        // Unsupervised (or budget exhausted): crash
-                        // context first, then the panic proceeds exactly
-                        // as a sequential run's would.
-                        let _ = telemetry.trip_flight_recorder(
-                            "shard worker panicked",
-                            &[("shard", p.shard.to_string())],
-                        );
-                        p.resume();
-                    }
-                }
-            }
-        };
-        debug_assert!(outs
-            .iter()
-            .all(|o| o.records.len()
-                == usize::try_from(window.end - window.first).unwrap_or(usize::MAX)));
-
-        // Merge-overlap attribution: how much of the previous chunk's
-        // merge interval ran while this chunk's workers were still busy.
-        // `dispatched_us + critical_end` is the absolute epoch time the
-        // last worker finished its item loop — for an inline dispatch,
-        // before the merge began, so it never counts as overlap.
-        if let (Some(p), Some((m0, m1))) = (&mut profiler, overlap_pending.take()) {
-            let workers_end = dispatched_us.saturating_add(chunk_stats.critical_end_us());
-            p.record_merge_overlap(workers_end.min(m1).saturating_sub(m0));
-        }
-
-        // 2. Dispatch chunk N+1 *before* merging chunk N: that is the
-        // pipeline. `stop_after_chunks` counts this chunk, so a stopping
-        // run never simulates past the rounds it reports and the returned
-        // fleet state matches an unpipelined engine's exactly.
-        let stopping = config
-            .stop_after_chunks
-            .is_some_and(|n| chunks_done + 1 >= n);
-        // Sim-side checkpoint snapshot, taken while the cells are in
-        // hand (they are re-dispatched below): the merge-owned traces
-        // and telemetry are folded in at write time, after this chunk's
-        // merge ran. The cells' sim state at this boundary is exactly
-        // what the next dispatch starts from — the merge never touches
-        // sim-side fields.
-        let ckpt_cells = (config.checkpoints.is_some() && window.end < rounds_total)
-            .then(|| capture_router_states(&cells_now));
-        let next = if window.end < rounds_total && !stopping {
-            boundary = supervising.then(|| cells_now.iter().map(BoundaryState::capture).collect());
-            ControlFlow::Continue(dispatch(window_at(window.end), cells_now))
-        } else {
-            ControlFlow::Break(cells_now)
-        };
-
-        // 3. Merge chunk N. Chunk spans carry the window's sim extent;
-        // the whole-horizon chunk reproduces the old `[start, end]`
-        // stamps exactly.
-        let chunk_start = if window.first == 0 {
-            start
-        } else {
-            round_time(start, step, window.first - 1)
-        };
-        let chunk_end = if window.end == rounds_total {
-            end
-        } else {
-            round_time(start, step, window.end - 1)
-        };
-        // The sim span is begun only after the chunk's workers succeeded:
-        // a supervised retry must not consume span ids, or resumed and
-        // uninterrupted runs would diverge.
-        let sim_span = tracer.begin_span("fleet_simulate", Some(root_span), chunk_start);
-        tracer.end_span(sim_span, chunk_end);
-        // The serial section the profiler attributes to "merge": worker
-        // span absorption plus the sequential (round, router) replay. The
-        // next chunk is already simulating while this runs — the interval
-        // is saved for overlap attribution above.
-        let merge_started_us = profiler.as_ref().map(|p| p.epoch.elapsed_micros());
-        // Fold each worker's complete stage totals (and span-drop
-        // counts) into the sink before replay, in fleet order.
-        for o in &outs {
-            tracer.absorb_worker(Some(sim_span), &o.spans);
-        }
-        let merge_span = tracer.begin_span("fleet_merge", Some(root_span), chunk_start);
-        merge_chunk(
-            telemetry,
-            tracer,
-            sim_span,
-            &metrics,
-            &mut traces,
-            outs,
-            window,
-            &mut trace,
-            start,
-            step,
-        );
-        tracer.end_span(merge_span, chunk_end);
-        round = window.end;
-        chunks_done += 1;
-
-        // 4. The boundary. Alert evaluation runs in sim time, *before*
-        // the checkpoint write below: the checkpoint then carries the
-        // post-eval engine state, so a resumed run continues the verdict
-        // stream exactly (the boundary is never re-evaluated).
-        if let Some(plane) = &mut alert_plane {
-            plane.eval(telemetry, chunk_end);
-        }
-
-        if let Some(p) = &mut profiler {
-            let merge_ended_us = p.epoch.elapsed_micros();
-            let merge_us = merge_started_us.map_or(0, |t0| merge_ended_us.saturating_sub(t0));
-            // The per-worker spawn wait *is* the dispatch queue wait
-            // (channel send + queueing behind earlier shards on the same
-            // worker); an inline pool's first shard never waits.
-            p.record_pool_dispatch_wait(chunk_stats.spawn_wait_us());
-            p.record_chunk(&chunk_stats, merge_us);
-            if next.is_continue() {
-                if let Some(t0) = merge_started_us {
-                    overlap_pending = Some((t0, merge_ended_us));
-                }
-            }
-            let report = p.report();
-            let wall_secs = p.run_us() as f64 / 1e6;
-            let merged_here = round.saturating_sub(first_round);
-            let rate = if wall_secs > 0.0 {
-                merged_here as f64 / wall_secs
-            } else {
-                0.0
-            };
-            p.rounds_per_sec.set(rate);
-            let remaining = rounds_total.saturating_sub(round);
-            let eta_secs = if rate > 0.0 {
-                remaining as f64 / rate
-            } else {
-                0.0
-            };
-            let snapshot = RunProgress {
-                chunk: chunks_done,
-                rounds_done: round,
-                rounds_total,
-                routers: u64::try_from(router_count).unwrap_or(u64::MAX),
-                shards: u64::try_from(shards).unwrap_or(u64::MAX),
-                wall_secs,
-                rounds_per_sec: rate,
-                eta_secs,
-                // The chunk being merged plus the one being simulated.
-                est_peak_record_bytes: estimated_peak_record_bytes(
-                    router_count,
-                    chunk_rounds.saturating_mul(2).min(rounds_total),
-                ),
-                checkpoints_written,
-                checkpoints_rejected: u64::from(checkpoints_rejected),
-                recoveries: u64::from(restarts),
-                efficiency: report.efficiency,
-                merge_fraction: report.merge_fraction,
-            };
-            telemetry.publish_progress(snapshot);
-            if let Some(path) = &config.progress_path {
-                if let Err(e) = telemetry.write_progress_json(path) {
-                    // A failed progress write degrades observability, not
-                    // correctness; capture context if the recorder is armed.
-                    let _ = telemetry
-                        .trip_flight_recorder("progress write failed", &[("error", e.to_string())]);
-                }
-            }
-        }
-
-        if let (Some(ckpt_cfg), Some(ckpt_routers)) = (&config.checkpoints, ckpt_cells) {
-            checkpoints_written += 1;
-            if let Some(rc) = &recovery {
-                rc.written.inc();
-            }
-            // The checkpoint span and counter are recorded *before*
-            // serialization, so the checkpoint file contains its own
-            // bookkeeping and a resumed run continues the sequence
-            // exactly. Both are deterministic: same chunking, same count.
-            let ck_span = tracer.begin_span("fleet_checkpoint", Some(root_span), chunk_end);
-            tracer.end_span(ck_span, chunk_end);
-            let state = build_state(
-                fingerprint,
-                round,
-                ckpt_routers,
-                &traces,
-                &trace,
-                telemetry,
-                alert_plane.as_ref().map(|p| p.engine.checkpoint_state()),
-            );
-            if let Err(e) = checkpoint::write(ckpt_cfg, round, &state) {
-                // A failed write degrades durability, not correctness:
-                // the run continues, resumable only from the previous
-                // checkpoint. Worth a dump if the recorder is armed.
-                let _ = telemetry
-                    .trip_flight_recorder("checkpoint write failed", &[("error", e.to_string())]);
-            }
-        }
-
-        match next {
-            ControlFlow::Continue((at, next_pending)) => {
-                dispatched_us = at;
-                pending = next_pending;
-                window = window_at(round);
-            }
-            ControlFlow::Break(cells_done) => break cells_done,
-        }
-    };
-
-    let completed = round >= rounds_total;
-    if completed {
-        tracer.end_span(root_span, end);
-    }
-    fleet.routers = final_cells.into_iter().map(|c| c.router).collect();
-    trace.routers = traces;
-    Ok(StreamOutcome {
-        trace,
-        completed,
-        rounds_done: round,
-        rounds_total,
-        restarts,
-        resumed_at_round,
-        checkpoints_rejected,
-        efficiency: profiler.as_ref().map(RunProfiler::report),
-        alerts: alert_plane.map(|p| p.engine),
-    })
-}
-
-/// Snapshots the sim-side per-router state at a chunk boundary, while
-/// the cells are still in hand (the pipelined engine dispatches them
-/// for the next chunk before the checkpoint is written). The merge-owned
-/// trace slot is left empty; [`build_state`] fills it at write time.
-fn capture_router_states(cells: &[RouterCell]) -> Vec<checkpoint::RouterState> {
-    cells
-        .iter()
-        .map(|c| checkpoint::RouterState {
-            router: c.router.clone(),
-            consecutive_failures: c.health.consecutive_failures(),
-            total_failures: c.health.total_failures(),
-            total_successes: c.health.total_successes(),
-            predictor: c.predictor.counters_snapshot(),
-            next_event: u64::try_from(c.next_event).unwrap_or(u64::MAX),
-            trace: RouterTrace::default(),
-        })
-        .collect()
-}
-
-/// Serializes the engine state at a chunk boundary (`rounds_done` rounds
-/// simulated *and* merged) into a checkpoint payload, marrying the
-/// sim-side snapshot from [`capture_router_states`] with the merge-owned
-/// traces and telemetry as they stand after the boundary's merge.
-fn build_state(
-    fingerprint: u64,
-    rounds_done: u64,
-    mut routers: Vec<checkpoint::RouterState>,
-    traces: &[RouterTrace],
-    trace: &FleetTrace,
-    telemetry: &Telemetry,
-    alerts: Option<fj_alerts::EngineState>,
-) -> checkpoint::CheckpointState {
-    for (rs, rt) in routers.iter_mut().zip(traces.iter()) {
-        rs.trace = rt.clone();
-    }
-    checkpoint::CheckpointState {
-        version: checkpoint::CHECKPOINT_VERSION,
-        fingerprint,
-        rounds_done,
-        missed_polls: trace.missed_polls,
-        total_wall: trace.total_wall.clone(),
-        total_reported: trace.total_reported.clone(),
-        total_traffic: trace.total_traffic.clone(),
-        routers,
-        telemetry: telemetry.checkpoint_state(),
-        alerts,
-    }
-}
-
-/// Phase 2 for one chunk: drains the columnar records in strict
-/// `(round, router-index)` order, writing per-router series, fleet
-/// totals, and all telemetry exactly as the sequential loop would have.
-#[allow(clippy::too_many_arguments)]
-fn merge_chunk(
-    telemetry: &Telemetry,
-    tracer: &TraceSink,
-    sim_span: SpanId,
-    metrics: &MergeMetrics,
-    traces: &mut [RouterTrace],
-    mut outs: Vec<ChunkOutput>,
-    window: ChunkWindow,
-    trace: &mut FleetTrace,
-    start: SimInstant,
-    step: SimDuration,
-) {
-    for round in window.first..window.end {
-        let t = round_time(start, step, round);
-        // Stamp the sim clock first: every event emitted this round —
-        // gap causes included — carries the round's timestamp, so gap
-        // markers on the trace join to their cause events by `ts`.
-        telemetry.set_now(t);
-        metrics.rounds.inc();
-        let round_span = SpanTimer::wall(metrics.round_duration.clone());
-        let rec_index = usize::try_from(round - window.first).unwrap_or(usize::MAX);
-
-        let mut total_wall = 0.0;
-        let mut total_reported = 0.0;
-        let mut total_traffic = 0.0;
-        let mut reported_unknown = false;
-        for (i, (rt, out)) in traces.iter_mut().zip(outs.iter_mut()).enumerate() {
-            let rec = out.records[rec_index];
-            // Adopt this router's worker spans for the round *before*
-            // emitting its telemetry: sequential ids in strict
-            // `(round, router-index)` order — the trace stream is
-            // bit-identical at any shard count — and fault cause events
-            // always land after the span they join to.
-            let lane = u32::try_from(i + 1).unwrap_or(u32::MAX);
-            for span_rec in out.spans.drain_through(round) {
-                tracer.adopt(Some(sim_span), lane, span_rec, Some(&rt.name));
-            }
-            total_wall += rec.wall;
-            total_traffic += rec.traffic_contrib;
-
-            match rec.snmp {
-                SnmpPoll::Value(v) => {
-                    rt.psu_reported.push(t, v);
-                    total_reported += v;
-                    if let Some((before, _)) = rec.transition {
-                        metrics.health[i].set(0.0);
-                        telemetry.event(
-                            Level::Info,
-                            "fleet.collect",
-                            "router health transition",
-                            &[
-                                ("router", rt.name.clone()),
-                                ("from", before.label().to_owned()),
-                                ("to", "healthy".to_owned()),
-                            ],
-                        );
-                    }
-                }
-                SnmpPoll::Gap => {
-                    // Missed poll: an explicit gap, never a zero. With a
-                    // contributor unknown, the fleet total is unknown
-                    // too.
-                    rt.psu_reported.push_gap(t);
-                    trace.missed_polls += 1;
-                    reported_unknown = true;
-                    metrics.snmp_gaps.inc();
-                    telemetry.event(
-                        Level::Warn,
-                        "fleet.collect",
-                        "snmp poll dropped, gap recorded",
-                        &[("router", rt.name.clone()), ("series", "snmp".to_owned())],
-                    );
-                    if let Some((before, after)) = rec.transition {
-                        metrics.health[i].set(health_level(after));
-                        if after == HealthState::Quarantined {
-                            metrics.quarantines.inc();
-                        }
-                        telemetry.event(
-                            Level::Warn,
-                            "fleet.collect",
-                            "router health transition",
-                            &[
-                                ("router", rt.name.clone()),
-                                ("from", before.label().to_owned()),
-                                ("to", after.label().to_owned()),
-                            ],
-                        );
-                        if before == HealthState::Healthy {
-                            // Leaving Healthy is the dump trigger: the
-                            // recorder (if armed) captures the recent
-                            // span+event rings at the first failure.
-                            let _ = telemetry.trip_flight_recorder(
-                                "router health ladder left healthy",
-                                &[
-                                    ("router", rt.name.clone()),
-                                    ("to", after.label().to_owned()),
-                                ],
-                            );
-                        }
-                    }
-                }
-                SnmpPoll::NonReporting => total_reported += rec.wall,
-            }
-
-            match rec.wall_read {
-                WallRead::Value => rt.wall.push(t, rec.wall),
-                WallRead::Gap => {
-                    rt.wall.push_gap(t);
-                    trace.missed_polls += 1;
-                    metrics.wall_gaps.inc();
-                    telemetry.event(
-                        Level::Warn,
-                        "fleet.collect",
-                        "wall-meter read dropped, gap recorded",
-                        &[("router", rt.name.clone()), ("series", "wall".to_owned())],
-                    );
-                }
-                WallRead::NotInstrumented => {}
-            }
-
-            rt.traffic.push(t, rec.traffic);
-            if let Some(p) = rec.predicted {
-                rt.predicted.push(t, p);
-                // Prediction-accuracy counters for the SLO plane: every
-                // predicted round has wall truth in hand; a miss is a
-                // relative error outside the tolerance band. Both are
-                // deterministic (same records ⇒ same counts) and feed
-                // the `prediction_error_burn` burn-rate rule.
-                metrics.predictions.inc();
-                if (p - rec.wall).abs() > PREDICTION_ERROR_TOLERANCE * rec.wall.abs().max(1.0) {
-                    metrics.prediction_errors.inc();
-                }
-            }
-        }
-
-        trace.total_wall.push(t, total_wall);
-        if reported_unknown {
-            trace.total_reported.push_gap(t);
-            metrics.total_gaps.inc();
-            telemetry.event(
-                Level::Warn,
-                "fleet.collect",
-                "fleet total unknowable, gap recorded",
-                &[("series", "fleet_total".to_owned())],
-            );
-        } else {
-            trace.total_reported.push(t, total_reported);
-        }
-        trace.total_traffic.push(t, total_traffic);
-
-        round_span.finish();
-    }
+    // Build the engine over the caller's routers (a resume replaces their
+    // state), then run it; the routers go back to the caller either way.
+    let mut cells: Vec<RouterCell> = std::mem::take(&mut fleet.routers)
+        .into_iter()
+        .enumerate()
+        .map(|(i, router)| RouterCell::new(router, instrumented.contains(&i)))
+        .collect();
+    let engine = StreamEngine::new(telemetry, config, ctx, end, fingerprint, &mut cells);
+    let (cells, outcome) = engine.run(cells);
+    fleet.routers = cells.into_iter().map(|c| c.router).collect();
+    outcome
 }
 
 #[cfg(test)]
@@ -1759,7 +1744,7 @@ mod tests {
     fn failed_polls_become_gaps_not_zeros() {
         let mut fleet = build_fleet(&FleetConfig::small(11));
         let plan = FaultPlan::new(0x90115).with_drop_rate(0.2);
-        let trace = collect_sharded(
+        let trace = collect_streaming(
             &mut fleet,
             SimInstant::EPOCH,
             SimInstant::from_days(1),
@@ -1768,9 +1753,10 @@ mod tests {
             &[0],
             &plan,
             fj_telemetry::global(),
-            fj_par::shard_count(),
+            &StreamConfig::default(),
         )
-        .unwrap();
+        .unwrap()
+        .trace;
         let ticks = 24 * 12 - 1;
 
         assert!(trace.missed_polls > 0, "plan injected failures");
@@ -1826,7 +1812,7 @@ mod tests {
         let telemetry = Telemetry::with_capacity(16384);
         let mut fleet = build_fleet(&FleetConfig::small(11));
         let plan = FaultPlan::new(0x6A9_0002).with_drop_rate(0.2);
-        let trace = collect_sharded(
+        let trace = collect_streaming(
             &mut fleet,
             SimInstant::EPOCH,
             SimInstant::from_days(1),
@@ -1835,9 +1821,10 @@ mod tests {
             &[0],
             &plan,
             &telemetry,
-            fj_par::shard_count(),
+            &StreamConfig::default(),
         )
-        .unwrap();
+        .unwrap()
+        .trace;
         assert!(trace.missed_polls > 0, "plan injected failures");
         assert!(
             telemetry.events().evicted() == 0,

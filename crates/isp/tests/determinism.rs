@@ -10,7 +10,7 @@ mod common;
 use std::sync::Arc;
 
 use fj_faults::FaultPlan;
-use fj_isp::trace::{collect_sharded, collect_streaming, StreamConfig};
+use fj_isp::trace::{collect_streaming, StreamConfig};
 use fj_isp::{build_fleet, EventKind, Fleet, FleetConfig, FleetTrace, ScheduledEvent};
 use fj_telemetry::Telemetry;
 use fj_units::{SimDuration, SimInstant, Watts};
@@ -52,11 +52,11 @@ fn scenario() -> (Fleet, Vec<ScheduledEvent>, FaultPlan) {
     (fleet, events, plan)
 }
 
-/// The scenario through the whole-horizon `collect_sharded` face.
+/// The scenario through the default config: one whole-horizon chunk.
 fn run(shards: usize) -> (FleetTrace, Arc<Telemetry>) {
     let (mut fleet, events, plan) = scenario();
     let telemetry = Telemetry::with_capacity(1 << 16);
-    let trace = collect_sharded(
+    let trace = collect_streaming(
         &mut fleet,
         SimInstant::EPOCH,
         SimInstant::from_days(7),
@@ -65,9 +65,13 @@ fn run(shards: usize) -> (FleetTrace, Arc<Telemetry>) {
         &[0, 3],
         &plan,
         &telemetry,
-        shards,
+        &StreamConfig {
+            shards,
+            ..StreamConfig::default()
+        },
     )
-    .expect("collection succeeds");
+    .expect("collection succeeds")
+    .trace;
     (trace, telemetry)
 }
 

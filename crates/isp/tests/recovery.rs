@@ -250,6 +250,36 @@ fn recovery_is_bit_identical_at_every_shard_count() {
 }
 
 #[test]
+fn supervised_rewind_without_checkpoints() {
+    // The checkpointed panic above only ever rewinds to a boundary that
+    // also wrote a checkpoint. Without checkpoints, round 40 panics in
+    // the first chunk, which rewinds to the snapshot taken before the
+    // first dispatch, and round 150 rewinds to a boundary snapshot kept
+    // for supervision alone.
+    for shards in [1usize, 4] {
+        let supervised = StreamConfig {
+            shards,
+            chunk_rounds: CHUNK_ROUNDS,
+            max_restarts: 2,
+            ..StreamConfig::default()
+        };
+        let baseline = run(&supervised);
+        for round in [40, 150] {
+            let panicked = run(&StreamConfig {
+                chaos_panic: Some(ChaosPanic::once(round, 2)),
+                ..supervised.clone()
+            });
+            assert_eq!(panicked.0.restarts, 1, "supervisor absorbed the panic");
+            assert_matches_baseline(
+                &format!("rewind round={round} shards={shards}"),
+                &baseline,
+                &panicked,
+            );
+        }
+    }
+}
+
+#[test]
 fn streaming_defaults_match_plain_sharded_engine() {
     // StreamConfig::default() — no chunking, no checkpoints, no
     // supervision — must be the plain engine bit-for-bit, counters

@@ -28,7 +28,7 @@ use crate::rules::fj04::Registration;
 use crate::suppress::Pragma;
 
 /// Bump on any change to rules, the lexer, or the symbol pass.
-pub const RULESET_VERSION: u32 = 2;
+pub const RULESET_VERSION: u32 = 3;
 
 /// Everything the per-file stage produces; the unit of caching.
 #[derive(Debug, Clone, Default, PartialEq)]

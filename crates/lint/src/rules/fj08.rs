@@ -11,10 +11,10 @@
 //! load-bearing, and the next `.par`-ish shuffle or chunk resize
 //! reorders a floating-point reduction — bit-replay gone. This rule
 //! makes the discipline explicit: in deterministic-surface,
-//! shard-adjacent code, the result of a `WorkerPool::submit` dispatch,
-//! `collect_sharded` or `collect_streaming` must not feed `.sum()` /
-//! `.product()` directly; route it through the index-ordered merge, the
-//! `PrefixSums` seam, or justify the reduction with a pragma.
+//! shard-adjacent code, the result of a `WorkerPool::submit` dispatch or
+//! of `collect_streaming` must not feed `.sum()` / `.product()` directly;
+//! route it through the index-ordered merge, the `PrefixSums` seam, or
+//! justify the reduction with a pragma.
 
 use super::{find_all, FileCtx};
 use crate::findings::Finding;
@@ -22,7 +22,7 @@ use crate::symbols::Surface;
 use crate::workspace::FileClass;
 
 /// Calls that produce shard-ordered collections.
-const PRODUCERS: &[&str] = &[".submit(", "collect_sharded(", "collect_streaming("];
+const PRODUCERS: &[&str] = &[".submit(", "collect_streaming("];
 
 /// Order-sensitive iterator reductions, in both plain and turbofish
 /// spellings.

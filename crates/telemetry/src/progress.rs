@@ -36,7 +36,7 @@ pub const PROGRESS_CAPACITY: usize = 256;
 /// All rates and durations are wall-clock-derived and nondeterministic;
 /// counts (`rounds_done`, `checkpoints_written`, …) mirror the engine's
 /// own state at publish time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunProgress {
     /// Chunks merged so far in this process (resumed chunks excluded).
     pub chunk: u64,
