@@ -44,6 +44,11 @@ echo "==> crash-recovery smoke (kill mid-run, resume, diff vs uninterrupted)"
 cargo run -q --release -p fj-bench --bin fleet_recover -- \
     --dir target/telemetry/recovery
 
+echo "==> paper regenerators (§8 pair and Table 6 must exit 0)"
+for bin in exp_sec8_link_sleeping exp_ext_combined_savings exp_table6_additional_models; do
+    cargo run -q --release -p fj-bench --bin "$bin"
+done
+
 echo "==> fleet throughput smoke (asserts shard-count determinism + dispatch-wait budget)"
 # The ≥2-shard cells run on the persistent worker pool: cumulative
 # dispatch wait (jobs queued behind busy workers) must stay under a

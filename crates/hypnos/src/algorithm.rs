@@ -72,11 +72,13 @@ impl HypnosOutcome {
         self.slept.len() as f64 / self.considered.len() as f64
     }
 
-    /// The observations of the slept links.
+    /// The observations of the slept links, in `considered` order.
     pub fn slept_observations(&self) -> Vec<&LinkObservation> {
+        let mut slept = self.slept.clone();
+        slept.sort_unstable();
         self.considered
             .iter()
-            .filter(|o| self.slept.contains(&o.link_id))
+            .filter(|o| slept.binary_search(&o.link_id).is_ok())
             .collect()
     }
 }
@@ -130,41 +132,57 @@ pub fn decide(observations: &[LinkObservation], config: &HypnosConfig) -> Hypnos
             .map(|o| (o.link_id, o.routers.0, o.routers.1)),
     );
 
-    // Per-router internal traffic and up-capacity. Ordered maps (FJ07):
-    // accumulation order over observations is fixed, and lookups below
-    // never depend on iteration order at all.
-    let mut router_traffic: std::collections::BTreeMap<usize, f64> = Default::default();
-    let mut router_capacity: std::collections::BTreeMap<usize, f64> = Default::default();
-    for o in observations {
-        for r in [o.routers.0, o.routers.1] {
-            *router_traffic.entry(r).or_default() += o.traffic.as_f64();
-            *router_capacity.entry(r).or_default() += o.capacity.as_f64();
+    // Per-router internal traffic and up-capacity, indexed by each
+    // router's rank among the sorted router ids (FJ07): accumulation
+    // order over observations is fixed, and lookups below never depend
+    // on iteration order at all.
+    let mut routers: Vec<usize> = observations
+        .iter()
+        .flat_map(|o| [o.routers.0, o.routers.1])
+        .collect();
+    routers.sort_unstable();
+    routers.dedup();
+    let rank = |r: usize| routers.partition_point(|&x| x < r);
+    let ends: Vec<[usize; 2]> = observations
+        .iter()
+        .map(|o| [rank(o.routers.0), rank(o.routers.1)])
+        .collect();
+    let mut router_traffic = vec![0.0; routers.len()];
+    let mut router_capacity = vec![0.0; routers.len()];
+    for (o, ends) in observations.iter().zip(&ends) {
+        for &r in ends {
+            router_traffic[r] += o.traffic.as_f64();
+            router_capacity[r] += o.capacity.as_f64();
         }
     }
 
-    let mut order: Vec<&LinkObservation> = observations.iter().collect();
-    order.sort_by(|x, y| x.utilization().total_cmp(&y.utilization()));
+    let utilization: Vec<f64> = observations
+        .iter()
+        .map(LinkObservation::utilization)
+        .collect();
+    let mut order: Vec<usize> = (0..observations.len()).collect();
+    order.sort_by(|&x, &y| utilization[x].total_cmp(&utilization[y]));
 
     let mut slept = Vec::new();
-    for o in order {
-        if o.utilization() > config.max_sleep_utilization {
+    for i in order {
+        let o = &observations[i];
+        if utilization[i] > config.max_sleep_utilization {
             continue;
         }
-        if !topology.safe_to_sleep(o.link_id) {
-            continue;
-        }
-        // Capacity headroom at both endpoints after sleeping.
-        let ok = [o.routers.0, o.routers.1].iter().all(|r| {
-            let cap = router_capacity[r] - o.capacity.as_f64();
-            cap >= config.headroom * router_traffic[r]
-        });
-        if !ok {
+        // Capacity headroom at both endpoints after sleeping (both ends of
+        // a self-loop sit on one router); checked before connectivity
+        // because it is the cheaper of the two.
+        let [a, b] = ends[i];
+        let left_a = router_capacity[a] - o.capacity.as_f64();
+        let left_b = if a == b { left_a } else { router_capacity[b] } - o.capacity.as_f64();
+        let ok = left_a >= config.headroom * router_traffic[a]
+            && left_b >= config.headroom * router_traffic[b];
+        if !ok || !topology.safe_to_sleep(o.link_id) {
             continue;
         }
         topology.sleep(o.link_id);
-        for r in [o.routers.0, o.routers.1] {
-            *router_capacity.entry(r).or_default() -= o.capacity.as_f64();
-        }
+        router_capacity[a] = left_a;
+        router_capacity[b] = left_b;
         slept.push(o.link_id);
     }
 

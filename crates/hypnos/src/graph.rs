@@ -3,28 +3,67 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// An undirected multigraph of routers (nodes) and links (edges).
-/// Ordered maps keep traversal order a function of node/link ids alone
-/// (FJ07): component counts are order-independent, but the BFS frontier
-/// order is not, and debugging a replay divergence through a
-/// hash-ordered frontier is misery.
+///
+/// Node ids and link ids are relabelled to dense indices ("slots" for
+/// links) in sorted-id order, so traversal order stays a function of
+/// node/link ids alone (FJ07): component counts are order-independent,
+/// but the search frontier order is not, and debugging a replay
+/// divergence through a hash-ordered frontier is misery. Several edges
+/// may carry one link id; the id's up flag covers all of them. Ids that
+/// no edge carries are never up, and sleeping or waking them does
+/// nothing.
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
-    /// Adjacency: node → (neighbor, link id).
-    adj: BTreeMap<usize, Vec<(usize, usize)>>,
-    /// Links currently considered up.
-    up: BTreeSet<usize>,
+    /// Adjacency by dense node: (neighbour, link slot).
+    adj: Vec<Vec<(usize, usize)>>,
+    /// Every edge as (link slot, node, node), sorted by slot.
+    edges: Vec<(usize, usize, usize)>,
+    /// Up flag per link slot.
+    up: Vec<bool>,
+    /// Link id → slot.
+    slots: BTreeMap<usize, usize>,
+    /// Path-query scratch: a node is visited in the current query iff
+    /// its stamp equals `generation`, so no query clears the buffer.
+    stamp: Vec<u32>,
+    generation: u32,
+    /// Path-query scratch: the depth-first frontier.
+    stack: Vec<usize>,
+}
+
+/// Dense indices for `keys`, in sorted-key order.
+fn relabel(keys: impl IntoIterator<Item = usize>) -> BTreeMap<usize, usize> {
+    let sorted: BTreeSet<usize> = keys.into_iter().collect();
+    sorted
+        .into_iter()
+        .enumerate()
+        .map(|(i, k)| (k, i))
+        .collect()
 }
 
 impl Topology {
     /// Builds a topology from `(link_id, a, b)` edges, all up.
     pub fn new(edges: impl IntoIterator<Item = (usize, usize, usize)>) -> Self {
-        let mut t = Topology::default();
-        for (id, a, b) in edges {
-            t.adj.entry(a).or_default().push((b, id));
-            t.adj.entry(b).or_default().push((a, id));
-            t.up.insert(id);
+        let raw: Vec<(usize, usize, usize)> = edges.into_iter().collect();
+        let nodes = relabel(raw.iter().flat_map(|&(_, a, b)| [a, b]));
+        let slots = relabel(raw.iter().map(|&(id, _, _)| id));
+        let mut adj = vec![Vec::new(); nodes.len()];
+        let mut edges = Vec::with_capacity(raw.len());
+        for (id, a, b) in raw {
+            let (slot, a, b) = (slots[&id], nodes[&a], nodes[&b]);
+            adj[a].push((b, slot));
+            adj[b].push((a, slot));
+            edges.push((slot, a, b));
         }
-        t
+        edges.sort_by_key(|&(slot, _, _)| slot);
+        Topology {
+            stamp: vec![0; adj.len()],
+            adj,
+            edges,
+            up: vec![true; slots.len()],
+            slots,
+            generation: 0,
+            stack: Vec::new(),
+        }
     }
 
     /// Number of nodes with at least one edge.
@@ -34,40 +73,49 @@ impl Topology {
 
     /// Number of up links.
     pub fn up_count(&self) -> usize {
-        self.up.len()
+        self.up.iter().filter(|&&up| up).count()
     }
 
     /// Marks a link down.
     pub fn sleep(&mut self, link_id: usize) {
-        self.up.remove(&link_id);
+        self.set_up(link_id, false);
     }
 
     /// Marks a link up again.
     pub fn wake(&mut self, link_id: usize) {
-        self.up.insert(link_id);
+        self.set_up(link_id, true);
+    }
+
+    fn set_up(&mut self, link_id: usize, up: bool) {
+        if let Some(&slot) = self.slots.get(&link_id) {
+            self.up[slot] = up;
+        }
     }
 
     /// Whether a link is up.
     pub fn is_up(&self, link_id: usize) -> bool {
-        self.up.contains(&link_id)
+        self.slots.get(&link_id).is_some_and(|&slot| self.up[slot])
     }
 
     /// Number of connected components in the up-link subgraph (nodes with
     /// no edges at all are not counted; a real ISP topology may already be
     /// a forest of islands when only *internal* links are considered).
+    /// A full breadth-first search: the reference the sleep-safety check
+    /// is tested against.
     pub fn component_count(&self) -> usize {
-        let mut seen: BTreeSet<usize> = BTreeSet::new();
+        let mut seen = vec![false; self.adj.len()];
         let mut components = 0;
-        for &start in self.adj.keys() {
-            if seen.contains(&start) {
+        for start in 0..self.adj.len() {
+            if seen[start] {
                 continue;
             }
             components += 1;
             let mut queue = VecDeque::from([start]);
-            seen.insert(start);
+            seen[start] = true;
             while let Some(node) = queue.pop_front() {
-                for &(next, link) in self.adj.get(&node).into_iter().flatten() {
-                    if self.up.contains(&link) && seen.insert(next) {
+                for &(next, slot) in &self.adj[node] {
+                    if self.up[slot] && !seen[next] {
+                        seen[next] = true;
                         queue.push_back(next);
                     }
                 }
@@ -84,17 +132,53 @@ impl Topology {
 
     /// Whether sleeping `link_id` leaves connectivity unchanged: the
     /// number of components must not grow (the baseline may already be a
-    /// forest). The link is restored before returning; only the caller
-    /// commits sleeps.
+    /// forest). It does not iff every edge carrying the id keeps its
+    /// endpoints joined over the other up links, so this asks one
+    /// early-exit path query per edge; a self-loop is trivially safe.
+    /// A link that is down, or that no edge carries, is never safe.
     pub fn safe_to_sleep(&mut self, link_id: usize) -> bool {
-        if !self.is_up(link_id) {
+        let Some(&slot) = self.slots.get(&link_id) else {
+            return false;
+        };
+        if !self.up[slot] {
             return false;
         }
-        let before = self.component_count();
-        self.sleep(link_id);
-        let after = self.component_count();
-        self.wake(link_id);
-        after <= before
+        let first = self.edges.partition_point(|&(s, _, _)| s < slot);
+        let end = self.edges.partition_point(|&(s, _, _)| s <= slot);
+        (first..end).all(|i| {
+            let (_, a, b) = self.edges[i];
+            self.reaches(a, b, slot)
+        })
+    }
+
+    /// Whether `from` reaches `to` over up links other than slot `skip`:
+    /// depth-first, stopping at the first hit.
+    fn reaches(&mut self, from: usize, to: usize, skip: usize) -> bool {
+        if from == to {
+            return true;
+        }
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.stamp.fill(0);
+            self.generation = 1;
+        }
+        let generation = self.generation;
+        self.stamp[from] = generation;
+        self.stack.clear();
+        self.stack.push(from);
+        while let Some(node) = self.stack.pop() {
+            for &(next, slot) in &self.adj[node] {
+                if slot == skip || !self.up[slot] || self.stamp[next] == generation {
+                    continue;
+                }
+                if next == to {
+                    return true;
+                }
+                self.stamp[next] = generation;
+                self.stack.push(next);
+            }
+        }
+        false
     }
 }
 
@@ -155,5 +239,15 @@ mod tests {
         let mut t = triangle();
         t.sleep(0);
         assert!(!t.safe_to_sleep(0), "already down");
+    }
+
+    #[test]
+    fn self_loop_is_safe_and_unknown_link_is_not() {
+        let mut t = Topology::new([(0, 1, 2), (7, 2, 2)]);
+        assert!(t.safe_to_sleep(7), "a self-loop joins nothing");
+        assert!(!t.safe_to_sleep(3), "no edge carries link 3");
+        t.wake(3);
+        assert!(!t.is_up(3));
+        assert_eq!(t.up_count(), 2);
     }
 }

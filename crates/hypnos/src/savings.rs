@@ -8,6 +8,7 @@
 //! one (optical `P_trx,in` dominates in every lab model).
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
@@ -33,13 +34,17 @@ impl SavingsRange {
 }
 
 /// Per-port-type `P_port` (W): the Table 5 role, derived by averaging the
-/// published models per port type (§8's own method).
-pub fn port_type_p_port() -> BTreeMap<PortType, Watts> {
-    builtin_registry()
-        .port_type_averages()
-        .into_iter()
-        .map(|(port, (p_port, _))| (port, p_port))
-        .collect()
+/// published models per port type (§8's own method). Built once per
+/// process: the builtin registry is compiled in.
+pub fn port_type_p_port() -> &'static BTreeMap<PortType, Watts> {
+    static TABLE: OnceLock<BTreeMap<PortType, Watts>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        builtin_registry()
+            .port_type_averages()
+            .into_iter()
+            .map(|(port, (p_port, _))| (port, p_port))
+            .collect()
+    })
 }
 
 /// Prices a sleep set.
@@ -48,8 +53,8 @@ pub fn sleeping_savings(outcome: &HypnosOutcome) -> SavingsRange {
     let mut low = 0.0;
     let mut high = 0.0;
     for obs in outcome.slept_observations() {
-        low += price_end_low(&p_port, obs, true) + price_end_low(&p_port, obs, false);
-        high += price_end_high(&p_port, obs, true) + price_end_high(&p_port, obs, false);
+        low += price_end_low(p_port, obs, true) + price_end_low(p_port, obs, false);
+        high += price_end_high(p_port, obs, true) + price_end_high(p_port, obs, false);
     }
     SavingsRange {
         low_w: low,

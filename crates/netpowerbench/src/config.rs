@@ -1,11 +1,15 @@
 //! Derivation configuration.
 
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 
 use fj_core::{Speed, TransceiverType};
 use fj_router_sim::{RouterSpec, SimError};
 use fj_traffic::RateSweep;
 use fj_units::SimDuration;
+
+use crate::derive::BenchError;
 
 /// Everything a derivation run needs to know.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -63,23 +67,53 @@ impl DerivationConfig {
         Self::new(model, transceiver, speed, 4, SimDuration::from_mins(8))
     }
 
-    /// A thorough configuration: as many pairs as the chassis offers
-    /// (capped at 12) and 45-minute points — comparable to a real lab
-    /// session and good to ~0.01 W on the static terms.
+    /// A thorough configuration: as many pairs as the chassis's first
+    /// port group at `speed` holds (capped at 12) and 45-minute points —
+    /// comparable to a real lab session and good to ~0.01 W on the static
+    /// terms. Errors when no port group at `speed` holds a pair.
     pub fn thorough(
         model: &str,
         transceiver: TransceiverType,
         speed: Speed,
-    ) -> Result<Self, SimError> {
-        let spec = RouterSpec::builtin(model)?;
-        let pairs = (spec.port_count() / 2).min(12);
-        Self::new(model, transceiver, speed, pairs, SimDuration::from_mins(45))
+    ) -> Result<Self, BenchError> {
+        let mut config = Self::new(model, transceiver, speed, 1, SimDuration::from_mins(45))?;
+        // At least one pair, so a group too small for one fails `cabled`.
+        config.pairs = first_group(&config.spec, speed).map_or(1, |g| (g.len() / 2).clamp(1, 12));
+        config.cabled()?;
+        Ok(config)
     }
 
     /// Interfaces involved (`2 * pairs`).
     pub fn interfaces(&self) -> usize {
         self.pairs * 2
     }
+
+    /// The cabled interfaces: the first `2 * pairs` cages of the first
+    /// contiguous group of same-type cages that supports `speed` (on the
+    /// Nexus93108TC-FX3P the 100G cages follow 48 RJ45 ports). Errors
+    /// when there is no such group or it is too small.
+    pub(crate) fn cabled(&self) -> Result<Range<usize>, BenchError> {
+        let interfaces = self.interfaces();
+        match first_group(&self.spec, self.speed) {
+            Some(group) if group.len() >= interfaces => Ok(group.start..group.start + interfaces),
+            _ => Err(BenchError::NoPortGroup {
+                model: self.spec.model.clone(),
+                speed: self.speed,
+                interfaces,
+            }),
+        }
+    }
+}
+
+/// The first contiguous run of same-type cages that support `speed`.
+fn first_group(spec: &RouterSpec, speed: Speed) -> Option<Range<usize>> {
+    let start = spec.ports.iter().position(|p| p.speeds.contains(&speed))?;
+    let port = spec.ports[start].port;
+    let len = spec.ports[start..]
+        .iter()
+        .take_while(|p| p.port == port && p.speeds.contains(&speed))
+        .count();
+    Some(start..start + len)
 }
 
 #[cfg(test)]
@@ -107,6 +141,41 @@ mod tests {
             .unwrap();
         assert!(c.pairs > 4);
         assert!(c.interfaces() <= c.spec.port_count());
+    }
+
+    #[test]
+    fn thorough_cables_the_nexus_100g_cages() {
+        // 48 RJ45 ports at 1G/10G come first; the six QSFP28 cages follow.
+        let c = DerivationConfig::thorough(
+            "Nexus93108TC-FX3P",
+            TransceiverType::PassiveDac,
+            Speed::G100,
+        )
+        .unwrap();
+        assert_eq!(c.pairs, 3);
+        assert_eq!(c.cabled().unwrap(), 48..54);
+    }
+
+    #[test]
+    fn missing_or_short_port_group_is_a_typed_error() {
+        let err =
+            DerivationConfig::thorough("Catalyst3560", TransceiverType::PassiveDac, Speed::G100)
+                .unwrap_err();
+        assert!(
+            matches!(err, BenchError::NoPortGroup { interfaces: 2, .. }),
+            "{err}"
+        );
+        // Four quick pairs need eight cages; the Nexus has six at 100G.
+        let c = DerivationConfig::quick(
+            "Nexus93108TC-FX3P",
+            TransceiverType::PassiveDac,
+            Speed::G100,
+        )
+        .unwrap();
+        assert!(matches!(
+            c.cabled(),
+            Err(BenchError::NoPortGroup { interfaces: 8, .. })
+        ));
     }
 
     #[test]

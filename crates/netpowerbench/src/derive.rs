@@ -4,7 +4,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use fj_core::{InterfaceClass, InterfaceParams, PowerModel};
+use fj_core::{InterfaceClass, InterfaceParams, PowerModel, Speed};
 use fj_router_sim::SimError;
 use fj_traffic::ETHERNET_OVERHEAD_BYTES;
 use fj_units::{linear_regression, EnergyPerBit, EnergyPerPacket, StatsError, Watts};
@@ -21,6 +21,16 @@ pub enum BenchError {
     Stats(StatsError),
     /// The derived model failed an internal sanity check.
     Unphysical(String),
+    /// The chassis has no contiguous group of same-type cages at `speed`
+    /// large enough for the requested interfaces.
+    NoPortGroup {
+        /// Router model.
+        model: String,
+        /// Requested line rate.
+        speed: Speed,
+        /// Interfaces the derivation needs (`2 * pairs`).
+        interfaces: usize,
+    },
 }
 
 impl fmt::Display for BenchError {
@@ -29,6 +39,14 @@ impl fmt::Display for BenchError {
             BenchError::Sim(e) => write!(f, "simulator error: {e}"),
             BenchError::Stats(e) => write!(f, "regression error: {e}"),
             BenchError::Unphysical(s) => write!(f, "unphysical result: {s}"),
+            BenchError::NoPortGroup {
+                model,
+                speed,
+                interfaces,
+            } => write!(
+                f,
+                "{model} has no contiguous group of {interfaces} same-type cages at {speed}"
+            ),
         }
     }
 }
@@ -195,8 +213,8 @@ impl Derivation {
         if !p_base.is_finite() || p_base <= 0.0 {
             return Err(BenchError::Unphysical(format!("P_base = {p_base}")));
         }
-        let class =
-            InterfaceClass::new(config.spec.ports[0].port, config.transceiver, config.speed);
+        let port = config.spec.ports[bench.cabled().start].port;
+        let class = InterfaceClass::new(port, config.transceiver, config.speed);
         let params = InterfaceParams {
             p_port: Watts::new(p_port),
             p_trx_in: Watts::new(p_trx_in),
@@ -281,6 +299,34 @@ mod tests {
         let report = derived.report();
         assert!(report.contains("P_base"));
         assert!(report.contains("8201-32FH"));
+    }
+
+    /// The Nexus93108TC-FX3P (Table 6b) has its 100G cages after 48 RJ45
+    /// ports: the derivation cables and prices those.
+    #[test]
+    fn derivation_uses_the_nexus_100g_cages() {
+        let config = DerivationConfig::new(
+            "Nexus93108TC-FX3P",
+            TransceiverType::PassiveDac,
+            Speed::G100,
+            3,
+            SimDuration::from_mins(10),
+        )
+        .unwrap();
+        let derived = Derivation::run(&config, 5).unwrap();
+        assert_eq!(derived.class.port, fj_core::PortType::Qsfp28);
+        let p = derived.params();
+        assert!((derived.model.p_base.as_f64() - 147.0).abs() < 0.5);
+        assert!(
+            (p.p_port.as_f64() - 0.17).abs() < 0.06,
+            "P_port {}",
+            p.p_port
+        );
+        assert!(
+            (p.p_trx_up.as_f64() - 0.23).abs() < 0.08,
+            "P_trx_up {}",
+            p.p_trx_up
+        );
     }
 
     /// Same pipeline on a very different device: the Wedge (Table 6a).

@@ -1,6 +1,8 @@
 //! The lab bench: configures the DUT for each experiment type and
 //! measures mean wall power through the meter.
 
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 
 use fj_core::{InterfaceLoad, Speed, TransceiverType};
@@ -10,6 +12,7 @@ use fj_traffic::{PacketProfile, SnakeTest};
 use fj_units::{Bytes, DataRate};
 
 use crate::config::DerivationConfig;
+use crate::derive::BenchError;
 
 /// The five experiment types of §5.2.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -53,6 +56,8 @@ pub struct LabBench {
     router: SimulatedRouter,
     meter: Mcp39F511N,
     config: DerivationConfig,
+    /// The cabled interfaces, from `DerivationConfig::cabled`.
+    cabled: Range<usize>,
     seed: u64,
     /// Session clock: monotonically increasing across experiments even
     /// though the DUT is factory-reset between them. Without it every
@@ -66,9 +71,10 @@ pub struct LabBench {
 }
 
 impl LabBench {
-    /// Sets up a bench: fresh DUT, pairs cabled `(0,1), (2,3), …`, with
-    /// the MCP39F511N's datasheet accuracy (±0.5 %).
-    pub fn new(config: DerivationConfig, seed: u64) -> Result<Self, SimError> {
+    /// Sets up a bench: fresh DUT, pairs cabled `(f, f+1), (f+2, f+3), …`
+    /// from the first cage `f` of the port group at the configured speed,
+    /// with the MCP39F511N's datasheet accuracy (±0.5 %).
+    pub fn new(config: DerivationConfig, seed: u64) -> Result<Self, BenchError> {
         Self::with_meter_accuracy(config, seed, 0.005)
     }
 
@@ -78,13 +84,15 @@ impl LabBench {
         config: DerivationConfig,
         seed: u64,
         accuracy: f64,
-    ) -> Result<Self, SimError> {
+    ) -> Result<Self, BenchError> {
+        let cabled = config.cabled()?;
         let router = SimulatedRouter::new(config.spec.clone(), seed);
         let meter = Mcp39F511N::with_accuracy(seed ^ 0x004D_4554_4552, accuracy); // "METER"
         Ok(Self {
             router,
             meter,
             config,
+            cabled,
             seed,
             clock: fj_units::SimInstant::EPOCH,
             log: Vec::new(),
@@ -94,6 +102,11 @@ impl LabBench {
     /// The transceiver/speed under characterisation.
     pub fn class(&self) -> (TransceiverType, Speed) {
         (self.config.transceiver, self.config.speed)
+    }
+
+    /// The cabled interfaces.
+    pub(crate) fn cabled(&self) -> Range<usize> {
+        self.cabled.clone()
     }
 
     fn measure(&mut self, kind: ExperimentKind) -> f64 {
@@ -156,7 +169,7 @@ impl LabBench {
             bit_rate: snake.per_interface_rate(),
             pkt_rate: profile.packet_rate(snake.per_interface_rate()),
         };
-        for i in 0..self.config.interfaces() {
+        for i in self.cabled() {
             self.router.set_load(i, per_iface)?;
         }
         Ok(self.measure(ExperimentKind::Snake {
@@ -170,7 +183,7 @@ impl LabBench {
     /// or mis-configured snakes, which would silently corrupt the
     /// regressions (a snake with a dead hop measures the wrong topology).
     pub fn verify_forwarding(&self) -> Result<(), SimError> {
-        for i in 0..self.config.interfaces() {
+        for i in self.cabled() {
             let st = self.router.interface(i)?;
             if st.octets == 0 {
                 return Err(SimError::CageEmpty(i)); // repurposed: no traffic seen
@@ -191,7 +204,8 @@ impl LabBench {
     ) -> Result<(), SimError> {
         self.reset_dut();
         for p in 0..pairs {
-            let (a, b) = (2 * p, 2 * p + 1);
+            let a = self.cabled.start + 2 * p;
+            let b = a + 1;
             self.router
                 .plug(a, self.config.transceiver, self.config.speed)?;
             self.router
