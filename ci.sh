@@ -31,6 +31,15 @@ cargo test --workspace -q
 echo "==> benchmark build (ledgerbench is its own workspace; test --workspace skips it)"
 cargo build --release --offline --manifest-path ledgerbench/Cargo.toml
 
+echo "==> allocation budget (traced census_stream: <= 1 allocation per router-round, exact replay)"
+ledger=$(cargo run -q --release --offline --manifest-path ledgerbench/Cargo.toml -- \
+    --workload census_stream --seed 1 --trace 1 | tail -n 1)
+allocs=$(echo "$ledger" | sed -n 's/.*"isp\.engine\.allocs_per_rr": {"value": \([^,}]*\).*/\1/p')
+mismatches=$(echo "$ledger" | sed -n 's/.*"bench\.replay\.mismatches": {"value": \([^,}]*\).*/\1/p')
+echo "isp.engine.allocs_per_rr=$allocs bench.replay.mismatches=$mismatches"
+awk -v a="$allocs" -v m="$mismatches" 'BEGIN { exit !(a != "" && m != "" && a <= 1 && m == 0) }' \
+    || { echo "allocation budget exceeded or replay diverged" >&2; exit 1; }
+
 echo "==> cargo doc (broken and private intra-doc links are errors)"
 cargo doc --workspace --no-deps --offline
 

@@ -6,12 +6,12 @@
 //! Titanium's 10 % requirement.
 
 use fj_bench::{banner, table::TablePrinter};
-use fj_psu::{pfe600_curve, EightyPlus};
+use fj_psu::{pfe600, EightyPlus};
 
 fn main() {
     let _run = banner("Fig. 5", "PFE600 efficiency curve + 80 Plus set points");
 
-    let curve = pfe600_curve();
+    let curve = pfe600();
     println!("\nPFE600-12-054xA efficiency vs load:");
     let t = TablePrinter::new(&[10, 14]);
     t.header(&["load %", "efficiency %"]);
@@ -40,7 +40,7 @@ fn main() {
     for level in EightyPlus::ALL {
         println!(
             "  {level:<9} {}",
-            if level.certifies(&curve) {
+            if level.certifies(curve) {
                 "pass"
             } else {
                 "fail"
@@ -49,7 +49,7 @@ fn main() {
     }
     println!(
         "\nshape: {}",
-        if EightyPlus::Platinum.certifies(&curve) && !EightyPlus::Titanium.certifies(&curve) {
+        if EightyPlus::Platinum.certifies(curve) && !EightyPlus::Titanium.certifies(curve) {
             "ok — Platinum-rated, short of Titanium (as in the figure)"
         } else {
             "drift"

@@ -191,6 +191,24 @@ impl PowerModel {
         })
     }
 
+    /// Total predicted power (Eq. 1) without the breakdown: the same
+    /// additions in the same order as `predict(..)?.total()`, so the same
+    /// bits, over `(config, load)` pairs streamed from any source. Stops
+    /// at the first class the model does not price.
+    pub fn predict_total(
+        &self,
+        items: impl IntoIterator<Item = (InterfaceConfig, InterfaceLoad)>,
+    ) -> Result<Watts, ModelError> {
+        let interfaces = items
+            .into_iter()
+            .map(|(cfg, load)| {
+                let params = self.params_for(&cfg)?;
+                Ok(InterfaceBreakdown::evaluate(&cfg, &load, params).total())
+            })
+            .sum::<Result<Watts, ModelError>>()?;
+        Ok(self.p_base + interfaces)
+    }
+
     /// Predicted total when every interface is idle but configured as given
     /// — convenience for static-only queries.
     pub fn predict_static(&self, configs: &[InterfaceConfig]) -> Result<Watts, ModelError> {

@@ -115,6 +115,48 @@ proptest! {
         prop_assert!((b.total() - parts).abs().as_f64() < 1e-9);
     }
 
+    /// `predict_total` over a zipped stream is `predict(..)?.total()`,
+    /// bit for bit, for any mix of states and loads, the empty set
+    /// included. Only the first classes drawn are priced, so later ones
+    /// are often unknown: both paths then return the same error.
+    #[test]
+    fn predict_total_is_the_breakdown_total(
+        base in 0.0f64..500.0,
+        params in prop::collection::vec(arb_params(), 1..4),
+        items in prop::collection::vec(
+            (arb_class(), 0u8..4, prop::option::of(0.001f64..100.0), 64.0f64..9000.0),
+            0..16,
+        ),
+    ) {
+        let mut model = PowerModel::new("m", Watts::new(base));
+        for ((class, ..), p) in items.iter().zip(&params) {
+            let _ = model.add_class(*class, *p);
+        }
+        let cfgs: Vec<_> = items
+            .iter()
+            .map(|&(class, state, ..)| match state {
+                0 => InterfaceConfig::empty(class),
+                1 => InterfaceConfig::plugged(class),
+                2 => InterfaceConfig::enabled(class),
+                _ => InterfaceConfig::up(class),
+            })
+            .collect();
+        let loads: Vec<_> = items
+            .iter()
+            .map(|&(_, _, gbps, size)| {
+                gbps.map_or(InterfaceLoad::IDLE, |g| {
+                    InterfaceLoad::from_rate(DataRate::from_gbps(g), Bytes::new(size))
+                })
+            })
+            .collect();
+        let streamed = model.predict_total(cfgs.iter().copied().zip(loads.iter().copied()));
+        let bits = |w: Watts| w.as_f64().to_bits();
+        prop_assert_eq!(
+            streamed.map(bits),
+            model.predict(&cfgs, &loads).map(|b| bits(b.total()))
+        );
+    }
+
     /// Interface-class strings round-trip through Display/FromStr.
     #[test]
     fn class_display_round_trip(class in arb_class()) {

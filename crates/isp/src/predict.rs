@@ -43,6 +43,12 @@ impl ModelPredictor {
     /// Predicts one router's power for the interval since the previous
     /// poll. The first call (no history) primes counters and treats all
     /// inventory interfaces as idle-but-present.
+    ///
+    /// The priced interfaces stream straight into the model, so a call
+    /// allocates nothing once the counter memory holds the router. Every
+    /// planned interface's counters are stored even when pricing fails
+    /// part-way; a plan entry with no interface behind it stops the
+    /// stream there and yields `None`.
     pub fn predict_router(
         &mut self,
         fleet_index: usize,
@@ -50,35 +56,43 @@ impl ModelPredictor {
         dt: SimDuration,
     ) -> Option<Watts> {
         let model = self.registry.get(&router.sim.spec().model)?;
-        let mut configs = Vec::new();
-        let mut loads = Vec::new();
-
-        for p in &router.plan {
-            let st = router.sim.interface(p.index).ok()?;
-            let now = Counters {
-                octets: st.octets,
-                packets: st.packets,
-            };
-            let key = (fleet_index, p.index);
-            let prev = self.last.insert(key, now).unwrap_or(now);
-            let d_octets = now.octets.saturating_sub(prev.octets);
-            let d_packets = now.packets.saturating_sub(prev.packets);
-
-            if d_octets == 0 {
+        let last = &mut self.last;
+        let secs = dt.as_secs_f64().max(1.0);
+        let mut missing = false;
+        let mut priced = router
+            .plan
+            .iter()
+            .map_while(|p| {
+                let Ok(st) = router.sim.interface(p.index) else {
+                    missing = true;
+                    return None;
+                };
+                let now = Counters {
+                    octets: st.octets,
+                    packets: st.packets,
+                };
+                let prev = last.insert((fleet_index, p.index), now).unwrap_or(now);
+                let d_octets = now.octets.saturating_sub(prev.octets);
+                let d_packets = now.packets.saturating_sub(prev.packets);
                 // No traffic ⇒ the paper's pipeline treats the interface
                 // as inactive and prices nothing for it — even though a
                 // module may still sit in the cage drawing P_trx,in.
-                continue;
-            }
-            let secs = dt.as_secs_f64().max(1.0);
-            configs.push(InterfaceConfig::up(p.class));
-            loads.push(InterfaceLoad {
-                bit_rate: DataRate::new(d_octets as f64 * 8.0 / secs),
-                pkt_rate: PacketRate::new(d_packets as f64 / secs),
-            });
+                Some((d_octets != 0).then(|| {
+                    let load = InterfaceLoad {
+                        bit_rate: DataRate::new(d_octets as f64 * 8.0 / secs),
+                        pkt_rate: PacketRate::new(d_packets as f64 / secs),
+                    };
+                    (InterfaceConfig::up(p.class), load)
+                }))
+            })
+            .flatten();
+        let total = model.predict_total(priced.by_ref());
+        // Pricing stops at an unknown class; the rest still record.
+        priced.for_each(drop);
+        if missing {
+            return None;
         }
-
-        model.predict(&configs, &loads).ok().map(|b| b.total())
+        total.ok()
     }
 
     /// Captures the counter memory as sorted, serializable entries

@@ -250,6 +250,11 @@ struct RoundRecord {
 /// into the per-stage profile totals.
 const SPAN_BUFFER_CAPACITY: usize = 4096;
 
+/// Stage spans a worker records per router-round at most (`snmp_poll`,
+/// `autopower_frame`, `predict`, `router_step`): what a chunk's span
+/// buffer reserves per round of its window, up to the bound.
+const SPANS_PER_ROUND: usize = 4;
+
 /// Every `&'static str` the engine can intern into the span sink —
 /// span/stage names plus the `router` span-field key. Restoring a
 /// checkpoint re-interns its owned strings against this table; an
@@ -541,9 +546,10 @@ fn run_chunk(
     cell: &mut RouterCell,
 ) -> Result<ChunkOutput, SimError> {
     let my_events = &ctx.events[index];
+    let rounds = usize::try_from(window.end - window.first).unwrap_or(0);
     let mut out = ChunkOutput {
-        records: Vec::with_capacity(usize::try_from(window.end - window.first).unwrap_or(0)),
-        spans: SpanBuffer::new(SPAN_BUFFER_CAPACITY),
+        records: Vec::with_capacity(rounds),
+        spans: SpanBuffer::new(SPAN_BUFFER_CAPACITY, rounds.saturating_mul(SPANS_PER_ROUND)),
     };
 
     if window.first == 0 {
@@ -916,6 +922,9 @@ struct StreamEngine<'a> {
     /// Merge-owned per-router traces, parallel to the cells: the merge
     /// appends to them while the pool may already hold the cells.
     traces: Vec<RouterTrace>,
+    /// Each router's name as the `router` label every adopted span
+    /// shares, parallel to the cells.
+    labels: Vec<Arc<str>>,
     trace: FleetTrace,
     /// Rounds merged so far, a resumed prefix included.
     round: u64,
@@ -978,6 +987,10 @@ impl<'a> StreamEngine<'a> {
                 model: c.router.sim.spec().model.clone(),
                 ..RouterTrace::default()
             })
+            .collect();
+        let labels = cells
+            .iter()
+            .map(|c| Arc::from(c.router.name.as_str()))
             .collect();
         let (root_span, restored_alerts, resumed_at_round) = match resumed {
             Some((state, root, alert_engine)) => {
@@ -1060,6 +1073,7 @@ impl<'a> StreamEngine<'a> {
             profiler,
             root_span,
             traces,
+            labels,
             trace,
             round: resumed_at_round.unwrap_or(0),
             resumed_at_round,
@@ -1333,6 +1347,7 @@ impl<'a> StreamEngine<'a> {
         }
         let merge_span = tracer.begin_span("fleet_merge", Some(self.root_span), chunk_start);
         let (metrics, traces, trace) = (&self.metrics, &mut self.traces, &mut self.trace);
+        let labels = &self.labels;
         for round in window.first..window.end {
             let t = round_time(start, step, round);
             // Stamp the sim clock first: every event emitted this round —
@@ -1347,7 +1362,8 @@ impl<'a> StreamEngine<'a> {
             let mut total_reported = 0.0;
             let mut total_traffic = 0.0;
             let mut reported_unknown = false;
-            for (i, (rt, out)) in traces.iter_mut().zip(outs.iter_mut()).enumerate() {
+            let routers = traces.iter_mut().zip(outs.iter_mut()).zip(labels);
+            for (i, ((rt, out), label)) in routers.enumerate() {
                 let rec = out.records[rec_index];
                 // Adopt this router's worker spans for the round *before*
                 // emitting its telemetry: sequential ids in strict
@@ -1356,7 +1372,7 @@ impl<'a> StreamEngine<'a> {
                 // always land after the span they join to.
                 let lane = u32::try_from(i + 1).unwrap_or(u32::MAX);
                 for span_rec in out.spans.drain_through(round) {
-                    tracer.adopt(Some(sim_span), lane, span_rec, Some(&rt.name));
+                    tracer.adopt(Some(sim_span), lane, span_rec, Some(label));
                 }
                 total_wall += rec.wall;
                 total_traffic += rec.traffic_contrib;

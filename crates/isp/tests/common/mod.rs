@@ -14,7 +14,9 @@ pub fn deterministic_prometheus(t: &Telemetry) -> String {
 /// The causal span stream projected onto its deterministic content. Wall
 /// stamps are the sanctioned nondeterminism (they measure real elapsed
 /// time); everything else — sequential ids, parents, names, lanes, sim
-/// stamps, fields, drop counts — must be bit-identical.
+/// stamps, fields, drop counts — must be bit-identical. Fields are the
+/// rendered list (`router` first), so where a span keeps its router
+/// label does not matter, only what every renderer writes.
 pub fn stable_spans(t: &Telemetry) -> Vec<String> {
     let mut out: Vec<String> = t
         .tracer()
@@ -29,7 +31,7 @@ pub fn stable_spans(t: &Telemetry) -> Vec<String> {
                 s.lane,
                 s.sim_start.as_secs(),
                 s.sim_end.as_secs(),
-                s.fields
+                s.rendered_fields().collect::<Vec<_>>()
             )
         })
         .collect();

@@ -1,5 +1,7 @@
 //! Piecewise-linear PSU efficiency curves.
 
+use std::sync::OnceLock;
+
 use fj_units::Watts;
 use serde::{Deserialize, Serialize};
 
@@ -35,25 +37,33 @@ impl EfficiencyCurve {
 
     /// Efficiency at `load` (fraction of capacity), clamped as documented.
     pub fn efficiency_at(&self, load: f64) -> f64 {
-        let eff = self.raw_at(load);
-        eff.clamp(0.01, 1.0)
+        self.efficiency_at_offset(load, NO_OFFSET)
     }
 
-    fn raw_at(&self, load: f64) -> f64 {
+    /// Efficiency at `load` of this curve shifted by `offset`, without
+    /// building the shifted copy: bit for bit
+    /// `self.with_offset(offset).efficiency_at(load)`.
+    pub fn efficiency_at_offset(&self, load: f64, offset: f64) -> f64 {
+        self.raw_at(load, offset).clamp(0.01, 1.0)
+    }
+
+    /// Interpolates the anchors, each shifted by `offset` first, exactly
+    /// as [`EfficiencyCurve::with_offset`] stores them.
+    fn raw_at(&self, load: f64, offset: f64) -> f64 {
         let pts = &self.points;
         if load <= pts[0].0 {
-            return pts[0].1;
+            return pts[0].1 + offset;
         }
         for w in pts.windows(2) {
-            let (l0, e0) = w[0];
-            let (l1, e1) = w[1];
+            let (l0, e0) = (w[0].0, w[0].1 + offset);
+            let (l1, e1) = (w[1].0, w[1].1 + offset);
             if load <= l1 {
                 let f = (load - l0) / (l1 - l0);
                 return e0 + f * (e1 - e0);
             }
         }
         // Past the last anchor (including NaN loads): flat extrapolation.
-        pts[pts.len() - 1].1
+        pts[pts.len() - 1].1 + offset
     }
 
     /// A copy of this curve with a constant efficiency offset — the paper's
@@ -69,7 +79,7 @@ impl EfficiencyCurve {
     /// Combine with [`EfficiencyCurve::with_offset`] to anchor the PFE600
     /// shape to one observed data point.
     pub fn offset_through(&self, load: f64, efficiency: f64) -> f64 {
-        efficiency - self.raw_at(load)
+        efficiency - self.raw_at(load, NO_OFFSET)
     }
 
     /// Input power needed to deliver `p_out` from a PSU of `capacity`.
@@ -87,6 +97,11 @@ impl EfficiencyCurve {
     }
 }
 
+/// The unshifted curve's offset. `-0.0` is the exact additive identity
+/// of IEEE 754 (`x + -0.0 == x` for every `x`, signed zeros and NaN
+/// included), so an anchor plus `NO_OFFSET` is the anchor, bit for bit.
+const NO_OFFSET: f64 = -0.0;
+
 /// The efficiency curve of the Platinum-rated PFE600-12-054xA — the PSU of
 /// the Wedge 100BF-32X — digitised from Fig. 5 of the paper (which redraws
 /// the PSU datasheet). Values are approximate but preserve the shape:
@@ -94,22 +109,28 @@ impl EfficiencyCurve {
 /// low-load tail is kept shallow: the Table 4 arithmetic of the paper
 /// (over-sizing costs only ≈1 %) implies the effective curve barely
 /// collapses below 10 %, so we digitise it accordingly.
-pub fn pfe600_curve() -> EfficiencyCurve {
-    EfficiencyCurve::new(vec![
-        (0.02, 0.82),
-        (0.05, 0.85),
-        (0.10, 0.875),
-        (0.15, 0.900),
-        (0.20, 0.915),
-        (0.30, 0.930),
-        (0.40, 0.937),
-        (0.50, 0.940),
-        (0.60, 0.942),
-        (0.70, 0.940),
-        (0.80, 0.936),
-        (0.90, 0.931),
-        (1.00, 0.925),
-    ])
+///
+/// Built once per process: the anchors are compiled in, and the wall-
+/// power path of every simulated router reads the curve each poll.
+pub fn pfe600() -> &'static EfficiencyCurve {
+    static CURVE: OnceLock<EfficiencyCurve> = OnceLock::new();
+    CURVE.get_or_init(|| {
+        EfficiencyCurve::new(vec![
+            (0.02, 0.82),
+            (0.05, 0.85),
+            (0.10, 0.875),
+            (0.15, 0.900),
+            (0.20, 0.915),
+            (0.30, 0.930),
+            (0.40, 0.937),
+            (0.50, 0.940),
+            (0.60, 0.942),
+            (0.70, 0.940),
+            (0.80, 0.936),
+            (0.90, 0.931),
+            (1.00, 0.925),
+        ])
+    })
 }
 
 #[cfg(test)]
@@ -152,7 +173,7 @@ mod tests {
 
     #[test]
     fn pfe600_shape() {
-        let c = pfe600_curve();
+        let c = pfe600();
         // Poor at low load, peaks mid-range, slightly declines at full load.
         assert!(c.efficiency_at(0.05) < 0.88);
         assert!(c.efficiency_at(0.15) < c.efficiency_at(0.5));
@@ -163,7 +184,7 @@ mod tests {
 
     #[test]
     fn offset_through_anchors_observed_point() {
-        let c = pfe600_curve();
+        let c = pfe600();
         let off = c.offset_through(0.15, 0.80);
         let shifted = c.with_offset(off);
         assert!((shifted.efficiency_at(0.15) - 0.80).abs() < 1e-9);
@@ -173,7 +194,7 @@ mod tests {
 
     #[test]
     fn input_power_inverts_efficiency() {
-        let c = pfe600_curve();
+        let c = pfe600();
         // 60 W delivered from a 600 W PSU → 10 % load → eff 0.875.
         let p_in = c.input_power(Watts::new(60.0), Watts::new(600.0));
         assert!((p_in.as_f64() - 60.0 / 0.875).abs() < 1e-9);
@@ -182,9 +203,9 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        let c = pfe600_curve();
-        let json = serde_json::to_string(&c).unwrap();
+        let c = pfe600();
+        let json = serde_json::to_string(c).unwrap();
         let back: EfficiencyCurve = serde_json::from_str(&json).unwrap();
-        assert_eq!(c, back);
+        assert_eq!(*c, back);
     }
 }

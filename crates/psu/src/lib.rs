@@ -20,9 +20,9 @@
 //! * [`savings`] — the four what-if estimators behind Tables 3 and 4.
 //!
 //! ```
-//! use fj_psu::{pfe600_curve, EightyPlus};
+//! use fj_psu::{pfe600, EightyPlus};
 //!
-//! let curve = pfe600_curve();
+//! let curve = pfe600();
 //! assert!(curve.efficiency_at(0.5) > 0.93);      // sweet spot
 //! assert!(curve.efficiency_at(0.05) < 0.87);     // sags at low load
 //!
@@ -35,7 +35,7 @@ pub mod observed;
 pub mod savings;
 pub mod standards;
 
-pub use curve::{pfe600_curve, EfficiencyCurve};
+pub use curve::{pfe600, EfficiencyCurve};
 pub use observed::{FleetPsuData, PsuObservation};
 pub use savings::{
     combined_savings, right_sizing_savings, single_psu_savings, uplift_savings, RightSizingReport,

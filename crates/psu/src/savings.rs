@@ -7,7 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::curve::{pfe600_curve, EfficiencyCurve};
+use crate::curve::{pfe600, EfficiencyCurve};
 use crate::observed::{FleetPsuData, PsuObservation};
 use crate::standards::EightyPlus;
 
@@ -49,7 +49,7 @@ fn own_curve(obs: &PsuObservation) -> Option<(EfficiencyCurve, f64, f64)> {
     if obs.p_out_w <= 0.0 {
         return None;
     }
-    let base = pfe600_curve();
+    let base = pfe600();
     let offset = base.offset_through(load, eff);
     Some((base.with_offset(offset), eff, load))
 }

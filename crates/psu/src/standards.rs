@@ -10,7 +10,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::curve::{pfe600_curve, EfficiencyCurve};
+use crate::curve::{pfe600, EfficiencyCurve};
 
 /// 80 Plus certification levels used in the paper's Tables 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -65,7 +65,7 @@ impl EightyPlus {
     /// point instead degenerates (Platinum would coincide with the PFE600
     /// itself and Bronze would fall 8 pp below it).
     pub fn certified_curve(self) -> EfficiencyCurve {
-        let base = pfe600_curve();
+        let base = pfe600();
         let mut offset = f64::NEG_INFINITY;
         for &(load, req) in self.set_points() {
             let candidate = req - base.efficiency_at(load);
@@ -124,11 +124,11 @@ mod tests {
     fn pfe600_is_platinum_but_not_titanium() {
         // Fig. 5: the PFE600 is Platinum-rated; Titanium's 10 % point
         // (90 %) is above the PFE600's ~82.5 % there.
-        let c = pfe600_curve();
-        assert!(EightyPlus::Platinum.certifies(&c));
-        assert!(EightyPlus::Gold.certifies(&c));
-        assert!(EightyPlus::Bronze.certifies(&c));
-        assert!(!EightyPlus::Titanium.certifies(&c));
+        let c = pfe600();
+        assert!(EightyPlus::Platinum.certifies(c));
+        assert!(EightyPlus::Gold.certifies(c));
+        assert!(EightyPlus::Bronze.certifies(c));
+        assert!(!EightyPlus::Titanium.certifies(c));
     }
 
     #[test]

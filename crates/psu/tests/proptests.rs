@@ -1,7 +1,7 @@
 //! Property-based tests for PSU curves and savings estimators.
 
 use fj_psu::{
-    combined_savings, pfe600_curve, right_sizing_savings, single_psu_savings, uplift_savings,
+    combined_savings, pfe600, right_sizing_savings, single_psu_savings, uplift_savings,
     EfficiencyCurve, EightyPlus, FleetPsuData, PsuObservation,
 };
 use proptest::prelude::*;
@@ -70,7 +70,7 @@ proptest! {
     /// An offset shifts every unclamped query by exactly the offset.
     #[test]
     fn offset_is_uniform(load in 0.0f64..1.0, offset in -0.2f64..0.2) {
-        let base = pfe600_curve();
+        let base = pfe600();
         let shifted = base.with_offset(offset);
         let a = base.efficiency_at(load);
         let b = shifted.efficiency_at(load);
@@ -78,6 +78,26 @@ proptest! {
         if a > 0.02 && a < 0.99 && b > 0.02 && b < 0.99 {
             prop_assert!((b - a - offset).abs() < 1e-9);
         }
+    }
+
+    /// Evaluating at an offset is the shifted copy's evaluation, bit for
+    /// bit, on any load: in range, negative, above full load, ±∞ or NaN.
+    #[test]
+    fn efficiency_at_offset_is_the_shifted_copy(
+        load in prop_oneof![
+            -1.0f64..2.0,
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(-0.0f64),
+        ],
+        offset in -0.2f64..0.2,
+    ) {
+        let base = pfe600();
+        prop_assert_eq!(
+            base.efficiency_at_offset(load, offset).to_bits(),
+            base.with_offset(offset).efficiency_at(load).to_bits()
+        );
     }
 
     /// Uplift savings are non-negative and monotone across standards.

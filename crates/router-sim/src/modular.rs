@@ -11,7 +11,7 @@
 use serde::{Deserialize, Serialize};
 
 use fj_core::{ChassisModel, SlotState};
-use fj_psu::pfe600_curve;
+use fj_psu::pfe600;
 use fj_units::{SimDuration, SimInstant, Watts};
 
 use crate::error::SimError;
@@ -171,9 +171,9 @@ impl ModularRouter {
             .as_f64();
         let share = dc / self.psu_count as f64;
         let load = share / self.psu_capacity_w;
-        let base = pfe600_curve();
-        let typical = base.efficiency_at(load);
-        let actual = base.with_offset(self.psu_eff_offset).efficiency_at(load);
+        let curve = pfe600();
+        let typical = curve.efficiency_at(load);
+        let actual = curve.efficiency_at_offset(load, self.psu_eff_offset);
         Watts::new(dc / (actual / typical))
     }
 }

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use fj_core::{InterfaceConfig, InterfaceLoad, Speed, TransceiverType};
-use fj_psu::pfe600_curve;
+use fj_psu::pfe600;
 use fj_units::{SimDuration, SimInstant, Watts};
 
 use crate::error::SimError;
@@ -399,41 +399,36 @@ impl SimulatedRouter {
     // Power physics
     // ------------------------------------------------------------------
 
-    /// The interface configurations currently priced by the truth model
-    /// (cages with a module; empty cages contribute nothing).
-    fn truth_configs(&self) -> (Vec<InterfaceConfig>, Vec<InterfaceLoad>) {
-        let mut cfgs = Vec::new();
-        let mut loads = Vec::new();
-        for (i, st) in self.interfaces.iter().enumerate() {
-            let Some(trx) = st.transceiver else { continue };
-            let class = fj_core::InterfaceClass::new(self.spec.ports[i].port, trx, st.speed);
-            cfgs.push(InterfaceConfig {
-                class,
-                plugged: true,
-                admin_up: st.admin_up,
-                oper_up: st.oper_up,
-            });
-            loads.push(if st.oper_up {
-                st.load
-            } else {
-                InterfaceLoad::IDLE
-            });
-        }
-        (cfgs, loads)
-    }
-
     /// Ground-truth wall power under a *nominal* PSU (what the published
-    /// model describes), before unit-to-unit PSU deviations.
+    /// model describes), before unit-to-unit PSU deviations. Prices every
+    /// cage with a module; empty cages contribute nothing.
     pub fn nominal_power(&self) -> Watts {
-        let (cfgs, loads) = self.truth_configs();
+        let priced = self
+            .interfaces
+            .iter()
+            .zip(&self.spec.ports)
+            .filter_map(|(st, slot)| {
+                let trx = st.transceiver?;
+                let cfg = InterfaceConfig {
+                    class: fj_core::InterfaceClass::new(slot.port, trx, st.speed),
+                    plugged: true,
+                    admin_up: st.admin_up,
+                    oper_up: st.oper_up,
+                };
+                let load = if st.oper_up {
+                    st.load
+                } else {
+                    InterfaceLoad::IDLE
+                };
+                Some((cfg, load))
+            });
         let p = self
             .spec
             .truth
-            .predict(&cfgs, &loads)
+            .predict_total(priced)
             // fj-lint: allow(FJ02) — plug() rejects classes the truth model
             // does not price, so prediction over plugged state cannot miss.
-            .expect("plug() guarantees every class is priced")
-            .total();
+            .expect("plug() guarantees every class is priced");
         p + self.extra_power
     }
 
@@ -446,20 +441,16 @@ impl SimulatedRouter {
     /// from the model-typical efficiency by their own offset, producing
     /// the few-watt unit-to-unit differences behind the Fig. 4 offsets.
     pub fn wall_power(&self) -> Watts {
-        let carriers: Vec<&PsuState> = self
-            .psus
-            .iter()
-            .filter(|p| p.enabled && !p.hot_standby)
-            .collect();
-        if carriers.is_empty() {
+        let is_carrier = |p: &&PsuState| p.enabled && !p.hot_standby;
+        let carriers = self.psus.iter().filter(is_carrier).count();
+        if carriers == 0 {
             return Watts::ZERO;
         }
         // Convert the wall-referenced truth to DC once, at the reference
         // condition under which models are derived: all installed PSUs
         // sharing equally, each at the model-typical efficiency.
         let nominal = self.nominal_power().as_f64();
-        let base_curve = pfe600_curve();
-        let typical_curve = base_curve.with_offset(self.spec.psu_eff_offset_mean);
+        let curve = pfe600();
         // Fixed point: dc = nominal · eff(dc-share load). The load that
         // matters for the curve is the DC output share; a couple of
         // iterations converge far below the meter's noise floor.
@@ -467,17 +458,17 @@ impl SimulatedRouter {
         let mut dc_total = nominal * 0.9;
         for _ in 0..4 {
             let load = dc_total / slots / self.spec.psu_capacity_w;
-            dc_total = nominal * typical_curve.efficiency_at(load);
+            dc_total = nominal * curve.efficiency_at_offset(load, self.spec.psu_eff_offset_mean);
         }
 
         // Push the DC demand through the *actual* units at the *actual*
         // load split — this is where unit-to-unit deviations and load
         // concentration (hot standby, failed PSUs) show up at the wall.
-        let dc_share = dc_total / carriers.len() as f64;
+        let dc_share = dc_total / carriers as f64;
         let mut wall = 0.0;
-        for psu in carriers {
+        for psu in self.psus.iter().filter(is_carrier) {
             let load = dc_share / psu.capacity_w;
-            let actual_eff = base_curve.with_offset(psu.eff_offset).efficiency_at(load);
+            let actual_eff = curve.efficiency_at_offset(load, psu.eff_offset);
             wall += dc_share / actual_eff;
         }
         // Hot-standby supplies idle online: a small housekeeping draw.
@@ -560,9 +551,7 @@ impl SimulatedRouter {
         let p_in = (self.wall_power().as_f64() - HOT_STANDBY_HOUSEKEEPING_W * standby as f64)
             / carriers as f64;
         let load = p_in / psu.capacity_w;
-        let actual_eff = pfe600_curve()
-            .with_offset(psu.eff_offset)
-            .efficiency_at(load);
+        let actual_eff = pfe600().efficiency_at_offset(load, psu.eff_offset);
         let p_out = p_in * actual_eff;
         // Sensor-quality noise: ±1.5 % per channel, independent.
         let idx = (self.now.as_secs() as u64).wrapping_add((slot as u64) << 32);

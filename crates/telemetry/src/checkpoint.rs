@@ -263,7 +263,7 @@ mod tests {
             wall_start_us: 10,
             wall_end_us: 25,
         };
-        t.tracer().adopt(Some(root), 1, rec, Some("r0"));
+        t.tracer().adopt(Some(root), 1, rec, Some(&"r0".into()));
 
         let ckpt = t.checkpoint_state();
         let json = serde_json::to_string_pretty(&ckpt).expect("serializes");
@@ -277,6 +277,11 @@ mod tests {
         assert_eq!(fresh.registry().counter_total("gaps_total"), 2);
         let events = fresh.events().events();
         assert_eq!(events, t.events().events());
+        // The shared router label is written as a plain leading field and
+        // read back into the shared slot.
+        let fields = [("router".to_owned(), "r0".to_owned())];
+        assert_eq!(ckpt.trace.finished[0].fields, fields);
+        assert_eq!(fresh.tracer().spans()[0].router.as_deref(), Some("r0"));
         // Span stream continues: same retained spans, same next id.
         assert_eq!(fresh.tracer().spans(), t.tracer().spans());
         assert_eq!(fresh.tracer().open_spans(), t.tracer().open_spans());

@@ -25,6 +25,7 @@
 //!   bounded rings.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use serde::Value;
@@ -180,11 +181,12 @@ pub struct SpanBuffer {
 }
 
 impl SpanBuffer {
-    /// An empty buffer retaining up to `capacity` records.
-    pub fn new(capacity: usize) -> Self {
+    /// An empty buffer retaining up to `capacity` records, with room for
+    /// the first `expected` of them (at most `capacity`) reserved up front.
+    pub fn new(capacity: usize, expected: usize) -> Self {
         assert!(capacity > 0, "span buffer needs capacity");
         Self {
-            ring: VecDeque::with_capacity(capacity.min(1024)),
+            ring: VecDeque::with_capacity(expected.min(capacity)),
             capacity,
             dropped: 0,
             totals: StageTotals::default(),
@@ -277,19 +279,44 @@ pub struct Span {
     pub wall_start_us: u64,
     /// Wall µs since the sink epoch at end (== start while open).
     pub wall_end_us: u64,
-    /// Structured attribution (e.g. `router`).
+    /// The span's leading `router` field, shared with every other span of
+    /// that router: adopting a worker span clones a pointer, not the name.
+    pub router: Option<Arc<str>>,
+    /// The remaining structured attribution, in annotation order.
     pub fields: Vec<(&'static str, String)>,
 }
 
 impl Span {
     /// The value of a field, if present.
     pub fn field(&self, key: &str) -> Option<&str> {
-        self.fields
-            .iter()
+        self.rendered_fields()
             .find(|(k, _)| *k == key)
-            .map(|(_, v)| v.as_str())
+            .map(|(_, v)| v)
+    }
+
+    /// The fields as every renderer writes them: `router` first when the
+    /// span has one, then [`Span::fields`] in order.
+    pub fn rendered_fields(&self) -> impl Iterator<Item = (&'static str, &str)> + '_ {
+        let router = self.router.as_deref().map(|r| (ROUTER_FIELD, r));
+        router
+            .into_iter()
+            .chain(self.fields.iter().map(|(k, v)| (*k, v.as_str())))
+    }
+
+    /// Appends a field. A `router` field that would render first goes to
+    /// the shared slot, so a span reads the same however it was built:
+    /// annotated, adopted, or restored from a checkpoint.
+    fn push_field(&mut self, key: &'static str, value: String) {
+        if key == ROUTER_FIELD && self.router.is_none() && self.fields.is_empty() {
+            self.router = Some(value.into());
+        } else {
+            self.fields.push((key, value));
+        }
     }
 }
+
+/// The field key of [`Span::router`].
+const ROUTER_FIELD: &str = "router";
 
 struct SinkState {
     finished: VecDeque<Span>,
@@ -361,6 +388,7 @@ impl TraceSink {
             sim_end: sim,
             wall_start_us: wall,
             wall_end_us: wall,
+            router: None,
             fields: Vec::new(),
         });
         SpanId { raw: id, name }
@@ -370,7 +398,7 @@ impl TraceSink {
     pub fn annotate(&self, id: SpanId, key: &'static str, value: impl Into<String>) {
         let mut state = self.state.lock();
         if let Some(span) = state.open.iter_mut().rfind(|s| s.id == id.raw) {
-            span.fields.push((key, value.into()));
+            span.push_field(key, value.into());
         }
     }
 
@@ -401,7 +429,8 @@ impl TraceSink {
 
     /// Adopts a worker-recorded span into the causal tree: assigns the
     /// next sequential id, parents it under `parent`, places it on
-    /// display lane `lane`, and tags it with `router` when given.
+    /// display lane `lane`, and tags it with `router` when given. The
+    /// label is shared, not copied, so adoption allocates nothing.
     ///
     /// Totals are *not* touched — the worker buffer's complete totals are
     /// folded in once via [`TraceSink::absorb_worker`], which also covers
@@ -411,12 +440,8 @@ impl TraceSink {
         parent: Option<SpanId>,
         lane: u32,
         rec: SpanRecord,
-        router: Option<&str>,
+        router: Option<&Arc<str>>,
     ) -> u64 {
-        let fields = match router {
-            Some(r) => vec![("router", r.to_owned())],
-            None => Vec::new(),
-        };
         let evicted;
         let id;
         {
@@ -433,7 +458,8 @@ impl TraceSink {
                 sim_end: rec.sim_end,
                 wall_start_us: rec.wall_start_us,
                 wall_end_us: rec.wall_end_us,
-                fields,
+                router: router.cloned(),
+                fields: Vec::new(),
             };
             evicted = push_finished(&mut state, self.capacity, span);
         }
@@ -664,23 +690,19 @@ fn span_checkpoint(span: &Span) -> crate::checkpoint::SpanCheckpoint {
         wall_start_us: span.wall_start_us,
         wall_end_us: span.wall_end_us,
         fields: span
-            .fields
-            .iter()
-            .map(|(k, v)| ((*k).to_owned(), v.clone()))
+            .rendered_fields()
+            .map(|(k, v)| (k.to_owned(), v.to_owned()))
             .collect(),
     }
 }
 
 /// Rebuilds a live span from its checkpointed form, re-interning names.
+/// A leading `router` field moves back into the shared slot.
 fn restore_span(
     s: &crate::checkpoint::SpanCheckpoint,
     names: &[&'static str],
 ) -> Result<Span, String> {
-    let mut fields = Vec::with_capacity(s.fields.len());
-    for (k, v) in &s.fields {
-        fields.push((crate::checkpoint::intern(names, k)?, v.clone()));
-    }
-    Ok(Span {
+    let mut span = Span {
         id: s.id,
         parent: s.parent,
         parent_name: crate::checkpoint::intern(names, &s.parent_name)?,
@@ -690,8 +712,13 @@ fn restore_span(
         sim_end: SimInstant::from_secs(s.sim_end_secs),
         wall_start_us: s.wall_start_us,
         wall_end_us: s.wall_end_us,
-        fields,
-    })
+        router: None,
+        fields: Vec::with_capacity(s.fields.len()),
+    };
+    for (k, v) in &s.fields {
+        span.push_field(crate::checkpoint::intern(names, k)?, v.clone());
+    }
+    Ok(span)
 }
 
 /// Pushes into the bounded finished ring; returns whether one was evicted.
@@ -719,8 +746,8 @@ fn trace_event_value(span: &Span, open: bool) -> Value {
     if open {
         args.push(("open".to_owned(), Value::Bool(true)));
     }
-    for (k, v) in &span.fields {
-        args.push(((*k).to_owned(), Value::Str(v.clone())));
+    for (k, v) in span.rendered_fields() {
+        args.push((k.to_owned(), Value::Str(v.to_owned())));
     }
     Value::Map(vec![
         ("name".to_owned(), Value::Str(span.name.to_owned())),
@@ -754,9 +781,8 @@ pub(crate) fn span_value(span: &Span) -> Value {
         (
             "fields".to_owned(),
             Value::Map(
-                span.fields
-                    .iter()
-                    .map(|(k, v)| ((*k).to_owned(), Value::Str(v.clone())))
+                span.rendered_fields()
+                    .map(|(k, v)| (k.to_owned(), Value::Str(v.to_owned())))
                     .collect(),
             ),
         ),
@@ -786,7 +812,7 @@ mod tests {
 
     #[test]
     fn buffer_bounds_and_counts_drops() {
-        let mut buf = SpanBuffer::new(3);
+        let mut buf = SpanBuffer::new(3, 3);
         for i in 0..5u64 {
             buf.push(i, rec("router_step", i as i64, (i, i + 2)));
         }
@@ -804,7 +830,7 @@ mod tests {
 
     #[test]
     fn drain_through_respects_ordinals() {
-        let mut buf = SpanBuffer::new(16);
+        let mut buf = SpanBuffer::new(16, 4);
         for i in 0..6u64 {
             buf.push(i, rec("predict", 0, (0, 1)));
         }
@@ -821,7 +847,8 @@ mod tests {
         let child = sink.begin_span("fleet_merge", Some(root), SimInstant::EPOCH);
         sink.annotate(child, "router", "r0");
         sink.end_span(child, SimInstant::from_secs(5));
-        let adopted = sink.adopt(Some(root), 3, rec("snmp_poll", 5, (1, 4)), Some("r2"));
+        let r2: Arc<str> = Arc::from("r2");
+        let adopted = sink.adopt(Some(root), 3, rec("snmp_poll", 5, (1, 4)), Some(&r2));
         sink.end_span(root, SimInstant::from_secs(5));
 
         assert_eq!(root.raw(), 1);
@@ -856,7 +883,7 @@ mod tests {
     fn absorb_worker_folds_totals_and_drops() {
         let (sink, counter) = sink(8);
         let parent = sink.begin_span("fleet_simulate", None, SimInstant::EPOCH);
-        let mut buf = SpanBuffer::new(2);
+        let mut buf = SpanBuffer::new(2, 2);
         for i in 0..5u64 {
             buf.push(i, rec("router_step", 0, (0, 10)));
         }
@@ -896,7 +923,12 @@ mod tests {
     fn trace_event_export_is_valid_json() {
         let (sink, _) = sink(64);
         let root = sink.begin_span("fleet_collect", None, SimInstant::EPOCH);
-        sink.adopt(Some(root), 1, rec("snmp_poll", 300, (10, 20)), Some("r0"));
+        sink.adopt(
+            Some(root),
+            1,
+            rec("snmp_poll", 300, (10, 20)),
+            Some(&Arc::from("r0")),
+        );
         sink.end_span(root, SimInstant::from_secs(300));
         let still_open = sink.begin_span("fleet_merge", None, SimInstant::from_secs(300));
         let json = sink.to_trace_event_json();
