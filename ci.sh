@@ -53,8 +53,9 @@ echo "==> crash-recovery smoke (kill mid-run, resume, diff vs uninterrupted)"
 cargo run -q --release -p fj-bench --bin fleet_recover -- \
     --dir target/telemetry/recovery
 
-echo "==> paper regenerators (§8 pair and Table 6 must exit 0)"
-for bin in exp_sec8_link_sleeping exp_ext_combined_savings exp_table6_additional_models; do
+echo "==> paper regenerators (§8 pair, Table 6 and Figs. 1 and 4 must exit 0)"
+for bin in exp_sec8_link_sleeping exp_ext_combined_savings exp_table6_additional_models \
+    exp_fig1_network exp_fig4_validation; do
     cargo run -q --release -p fj-bench --bin "$bin"
 done
 

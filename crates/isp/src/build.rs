@@ -6,6 +6,8 @@
 // port). An inconsistency is a bug in this module; a half-built fleet
 // would silently skew every downstream study, so fail loudly instead.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -146,7 +148,7 @@ pub fn build_fleet(cfg: &FleetConfig) -> Fleet {
     // Plan interfaces per router; collect internal candidates by speed.
     let mut internal_pool: Vec<(Speed, LinkSide)> = Vec::new();
     for (r_idx, router) in routers.iter_mut().enumerate() {
-        let spec = router.sim.spec().clone();
+        let spec = Arc::clone(router.sim.spec());
         let n_active = active_count(&mut rng, spec.port_count());
         let core = is_core(&spec.model);
         // Access routers get two or three internal uplinks and otherwise

@@ -38,7 +38,9 @@ use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
+use fj_core::InterfaceClass;
 use fj_faults::{frame, FaultPlan, FrameError};
+use fj_router_sim::LinkEnd;
 use fj_telemetry::TelemetryCheckpoint;
 use fj_units::{SimDuration, SimInstant, TimeSeries};
 
@@ -217,17 +219,67 @@ pub(crate) fn write(
 }
 
 /// Reads and fully verifies one checkpoint file: frame (magic, version,
-/// exact length, CRC), JSON payload, and schema version. Fingerprint
-/// matching is the caller's job — it owns the scenario.
+/// exact length, CRC), JSON payload, schema version, and each router
+/// against its spec. Fingerprint matching is the caller's job — it owns
+/// the scenario.
 pub(crate) fn load(path: &Path) -> Result<CheckpointState, CheckpointError> {
     let bytes = std::fs::read(path).map_err(|e| CheckpointError::Io(e.to_string()))?;
-    let payload = frame::unseal(&bytes).map_err(CheckpointError::Frame)?;
+    decode(&bytes)
+}
+
+/// [`load`] after the read. Total: any bytes give a state or an error,
+/// never a panic.
+fn decode(bytes: &[u8]) -> Result<CheckpointState, CheckpointError> {
+    let payload = frame::unseal(bytes).map_err(CheckpointError::Frame)?;
     let state: CheckpointState =
         serde_json::from_slice(payload).map_err(|e| CheckpointError::Parse(e.to_string()))?;
     if state.version != CHECKPOINT_VERSION {
         return Err(CheckpointError::Version(state.version));
     }
+    state.routers.iter().try_for_each(RouterState::check)?;
     Ok(state)
+}
+
+impl RouterState {
+    /// Rejects a router that contradicts its own spec. `SimulatedRouter::new`
+    /// builds one interface per port and one PSU per bay, and the
+    /// mutators index by them and by cable ends; `plug` admits only
+    /// modules the truth model prices, which wall power relies on; the
+    /// predictor remembers only interfaces that exist, and restoring its
+    /// memory sizes it by them.
+    fn check(&self) -> Result<(), CheckpointError> {
+        let sim = &self.router.sim;
+        let spec = sim.spec();
+        let n = sim.interface_count();
+        let unpriced = |i: usize| match (sim.interface(i), spec.ports.get(i)) {
+            (Ok(st), Some(slot)) => st.transceiver.is_some_and(|trx| {
+                let class = InterfaceClass::new(slot.port, trx, st.speed);
+                spec.truth.lookup(class).is_none()
+            }),
+            _ => true,
+        };
+        let dangling = |i: usize| {
+            sim.interface(i)
+                .is_ok_and(|st| matches!(st.link, LinkEnd::Internal(j) if j >= n))
+        };
+        let contradiction = if n != spec.port_count() {
+            format!("{n} interfaces for {} ports", spec.port_count())
+        } else if sim.psu_count() != spec.psu_slots {
+            format!("{} PSUs for {} bays", sim.psu_count(), spec.psu_slots)
+        } else if let Some(i) = (0..n).find(|&i| unpriced(i)) {
+            format!("interface {i} holds a module the truth model does not price")
+        } else if let Some(i) = (0..n).find(|&i| dangling(i)) {
+            format!("interface {i} is cabled to a missing interface")
+        } else if let Some(e) = self.predictor.iter().find(|e| e.1 >= n) {
+            format!("predictor memory for interface {} of {n}", e.1)
+        } else {
+            return Ok(());
+        };
+        Err(CheckpointError::Parse(format!(
+            "router {} ({}): {contradiction}",
+            self.router.name, spec.model
+        )))
+    }
 }
 
 /// FNV-1a over the collection scenario: horizon, step, router identity,
@@ -308,11 +360,17 @@ impl Fnv {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::OnceLock;
+
     use super::*;
     use crate::build::build_fleet;
     use crate::config::FleetConfig;
     use crate::events::EventKind;
+    use crate::predict::ModelPredictor;
+    use fj_core::{ModelRegistry, Speed, TransceiverType};
     use fj_units::Watts;
+    use proptest::prelude::*;
+    use serde::Value;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("fjck-{tag}-{}", std::process::id()));
@@ -470,5 +528,195 @@ mod tests {
         let hotter = FaultPlan::new(7).with_drop_rate(0.9);
         let hotter_fp = scenario_fingerprint(start, end, step, &[], &[0], &hotter, &fleet.routers);
         assert_ne!(base(), hotter_fp);
+    }
+
+    /// The JSON payload of a small valid checkpoint, built once.
+    fn payload() -> &'static [u8] {
+        static PAYLOAD: OnceLock<Vec<u8>> = OnceLock::new();
+        PAYLOAD.get_or_init(|| serde_json::to_vec(&state(1, 10)).expect("state serializes"))
+    }
+
+    /// [`payload`] as a value tree, edited, in a frame with a valid CRC.
+    fn sealed_edit(edit: impl FnOnce(&mut Value)) -> Vec<u8> {
+        let mut tree: Value = serde_json::from_slice(payload()).expect("payload parses");
+        edit(&mut tree);
+        frame::seal(&serde_json::to_vec(&tree).expect("tree serializes"))
+    }
+
+    /// The node at `path` (map keys and array indices).
+    fn at<'v>(mut v: &'v mut Value, path: &[&str]) -> &'v mut Value {
+        for key in path {
+            v = match v {
+                Value::Map(entries) => {
+                    &mut entries.iter_mut().find(|(k, _)| k == key).expect("key").1
+                }
+                Value::Array(items) => &mut items[key.parse::<usize>().expect("index")],
+                other => panic!("no {key} in a {}", other.kind()),
+            };
+        }
+        v
+    }
+
+    fn items(v: &mut Value) -> &mut Vec<Value> {
+        match v {
+            Value::Array(items) => items,
+            other => panic!("not an array: {}", other.kind()),
+        }
+    }
+
+    const SIM: [&str; 4] = ["routers", "0", "router", "sim"];
+
+    fn rejected_as(bytes: &[u8]) -> String {
+        match decode(bytes) {
+            Err(CheckpointError::Parse(msg)) => msg,
+            other => panic!(
+                "expected a parse rejection, got {:?}",
+                other.map(|s| s.rounds_done)
+            ),
+        }
+    }
+
+    #[test]
+    fn a_router_that_contradicts_its_spec_is_rejected() {
+        assert!(
+            decode(&frame::seal(payload())).is_ok(),
+            "the unedited state loads"
+        );
+        let short = sealed_edit(|t| {
+            items(at(t, &[&SIM[..], &["interfaces"]].concat())).pop();
+        });
+        assert!(rejected_as(&short).contains("interfaces for"));
+        let no_psu = sealed_edit(|t| {
+            items(at(t, &[&SIM[..], &["psus"]].concat())).pop();
+        });
+        assert!(rejected_as(&no_psu).contains("PSUs for"));
+        let unpriced = sealed_edit(|t| {
+            items(at(t, &[&SIM[..], &["spec", "truth", "classes"]].concat())).clear();
+        });
+        assert!(rejected_as(&unpriced).contains("does not price"));
+        let dangling = sealed_edit(|t| {
+            let link = at(t, &[&SIM[..], &["interfaces", "0", "link"]].concat());
+            *link = Value::Map(vec![("Internal".into(), Value::Int(999))]);
+        });
+        assert!(rejected_as(&dangling).contains("cabled to a missing interface"));
+        let memory = sealed_edit(|t| {
+            let entry = Value::Array([0, 999, 1, 1].map(Value::Int).to_vec());
+            items(at(t, &["routers", "0", "predictor"])).push(entry);
+        });
+        assert!(rejected_as(&memory).contains("predictor memory"));
+    }
+
+    /// Nodes of the tree, counted in pre-order.
+    fn node_count(v: &Value) -> usize {
+        1 + match v {
+            Value::Map(entries) => entries.iter().map(|(_, c)| node_count(c)).sum(),
+            Value::Array(items) => items.iter().map(node_count).sum(),
+            _ => 0,
+        }
+    }
+
+    /// The `n`-th node in pre-order.
+    fn nth_node(v: &mut Value, n: usize) -> &mut Value {
+        fn go<'v>(v: &'v mut Value, n: &mut usize) -> Option<&'v mut Value> {
+            if *n == 0 {
+                return Some(v);
+            }
+            *n -= 1;
+            match v {
+                Value::Map(entries) => entries.iter_mut().find_map(|(_, c)| go(c, n)),
+                Value::Array(items) => items.iter_mut().find_map(|c| go(c, n)),
+                _ => None,
+            }
+        }
+        let n = n % node_count(v);
+        go(v, &mut { n }).expect("n is below the node count")
+    }
+
+    /// A state that loads must be safe to drive: every call that indexes
+    /// by interface or bay, on each, then wall power and a predictor
+    /// restore.
+    fn drive(state: CheckpointState) {
+        for rs in state.routers {
+            let mut sim = rs.router.sim;
+            sim.wall_power();
+            for i in 0..sim.interface_count() {
+                let _ = sim.set_speed(i, Speed::G100);
+                let _ = sim.unplug(i);
+                let _ = sim.plug(i, TransceiverType::PassiveDac, Speed::G100);
+                let _ = sim.set_admin(i, true);
+                let _ = sim.set_external_peer(i, true);
+                let _ = sim.uncable(i);
+            }
+            for slot in 0..sim.psu_count() {
+                let _ = sim.psu_reported_power(slot);
+                let _ = sim.psu_snapshot(slot);
+            }
+            sim.wall_power();
+            ModelPredictor::new(ModelRegistry::new()).restore_counters(&rs.predictor);
+        }
+    }
+
+    /// A replacement node of each JSON kind, numbers at their extremes.
+    fn replacement(kind: u8) -> Value {
+        match kind % 10 {
+            0 => Value::Null,
+            1 => Value::Bool(true),
+            2 => Value::Int(-1),
+            3 => Value::Int(i64::MIN),
+            4 => Value::UInt(u64::MAX),
+            5 => Value::Float(1e300),
+            6 => Value::Float(-0.5),
+            7 => Value::Str("x".into()),
+            8 => Value::Array(Vec::new()),
+            _ => Value::Map(Vec::new()),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Arbitrary bytes, bare or in a frame with a valid CRC, never
+        /// load.
+        #[test]
+        fn load_rejects_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..600)) {
+            prop_assert!(decode(&bytes).is_err());
+            prop_assert!(decode(&frame::seal(&bytes)).is_err());
+        }
+
+        /// A truncated payload never loads.
+        #[test]
+        fn load_rejects_truncated_payloads(cut in any::<usize>()) {
+            let text = payload();
+            let bytes = frame::seal(&text[..cut % text.len()]);
+            prop_assert!(decode(&bytes).is_err());
+        }
+
+        /// Mutated JSON under a valid CRC: a node dropped (a map key or
+        /// an array element), replaced by another type, or replaced by an
+        /// extreme number. Loading never panics, and whatever loads is
+        /// safe to drive.
+        #[test]
+        fn load_is_total_over_mutated_payloads(
+            node in any::<usize>(),
+            pick in any::<usize>(),
+            kind in any::<u8>(),
+            drop_node in any::<bool>(),
+        ) {
+            let bytes = sealed_edit(|t| {
+                let target = nth_node(t, node);
+                match target {
+                    Value::Map(entries) if drop_node && !entries.is_empty() => {
+                        entries.remove(pick % entries.len());
+                    }
+                    Value::Array(items) if drop_node && !items.is_empty() => {
+                        items.remove(pick % items.len());
+                    }
+                    _ => *target = replacement(kind),
+                }
+            });
+            if let Ok(state) = decode(&bytes) {
+                drive(state);
+            }
+        }
     }
 }

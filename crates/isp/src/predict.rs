@@ -23,10 +23,21 @@ struct Counters {
     packets: u64,
 }
 
+/// Interface `iface`'s entry in one router's counter memory, growing the
+/// memory to reach it.
+fn slot(ifaces: &mut Vec<Option<Counters>>, iface: usize) -> &mut Option<Counters> {
+    if ifaces.len() <= iface {
+        ifaces.resize(iface + 1, None);
+    }
+    &mut ifaces[iface]
+}
+
 /// Stateful predictor: remembers the previous poll's counters.
 pub struct ModelPredictor {
     registry: ModelRegistry,
-    last: BTreeMap<(usize, usize), Counters>,
+    /// Per fleet index, the counters last seen on each interface, indexed
+    /// by interface (`None` until first polled): one map probe per call.
+    last: BTreeMap<usize, Vec<Option<Counters>>>,
 }
 
 impl ModelPredictor {
@@ -56,7 +67,7 @@ impl ModelPredictor {
         dt: SimDuration,
     ) -> Option<Watts> {
         let model = self.registry.get(&router.sim.spec().model)?;
-        let last = &mut self.last;
+        let last = self.last.entry(fleet_index).or_default();
         let secs = dt.as_secs_f64().max(1.0);
         let mut missing = false;
         let mut priced = router
@@ -71,7 +82,8 @@ impl ModelPredictor {
                     octets: st.octets,
                     packets: st.packets,
                 };
-                let prev = last.insert((fleet_index, p.index), now).unwrap_or(now);
+                // Bounded: `interface` found this index on the router.
+                let prev = slot(last, p.index).replace(now).unwrap_or(now);
                 let d_octets = now.octets.saturating_sub(prev.octets);
                 let d_packets = now.packets.saturating_sub(prev.packets);
                 // No traffic ⇒ the paper's pipeline treats the interface
@@ -97,21 +109,29 @@ impl ModelPredictor {
 
     /// Captures the counter memory as sorted, serializable entries
     /// (`(fleet_index, iface_index, octets, packets)`), for checkpoints.
-    /// The `BTreeMap` keeps the memory key-ordered, so the snapshot is a
-    /// pure function of predictor state with no explicit sort.
+    /// The map is ordered by fleet index and each vector by interface,
+    /// so the snapshot is a pure function of predictor state with no
+    /// explicit sort.
     pub fn counters_snapshot(&self) -> Vec<(usize, usize, u64, u64)> {
         self.last
             .iter()
-            .map(|(&(fleet, iface), c)| (fleet, iface, c.octets, c.packets))
+            .flat_map(|(&fleet, ifaces)| {
+                ifaces
+                    .iter()
+                    .enumerate()
+                    .filter_map(move |(iface, c)| c.map(|c| (fleet, iface, c.octets, c.packets)))
+            })
             .collect()
     }
 
-    /// Replaces the counter memory from a snapshot.
+    /// Replaces the counter memory from a snapshot. Memory grows to the
+    /// largest interface index named, so entries should come from
+    /// [`ModelPredictor::counters_snapshot`] (checkpoint loads check
+    /// each index against its router).
     pub fn restore_counters(&mut self, entries: &[(usize, usize, u64, u64)]) {
         self.last.clear();
         for &(fleet, iface, octets, packets) in entries {
-            self.last
-                .insert((fleet, iface), Counters { octets, packets });
+            *slot(self.last.entry(fleet).or_default(), iface) = Some(Counters { octets, packets });
         }
     }
 

@@ -579,12 +579,19 @@ fn run_chunk(
             cell.next_event += 1;
         }
 
+        // Stamps are read only for spans that are recorded, and spans
+        // that touch share one read. The poll span covers the round's one
+        // wall-power evaluation, the PSU sensor reads and the fault draw:
+        // the simulated counterpart of the poller's round trip. Only
+        // reporting models poll, so only they record it.
+        let poll_span = cell
+            .router
+            .sim
+            .spec()
+            .sensor
+            .reports()
+            .then(|| StageSpan::begin("snmp_poll", t, ctx.epoch.elapsed_micros()));
         let wall = cell.router.sim.wall_power().as_f64();
-
-        // The poll span covers the PSU sensor read plus the fault draw —
-        // the simulated counterpart of the poller's round trip. It is
-        // recorded only for reporting models (others never poll).
-        let poll_span = StageSpan::begin("snmp_poll", t, &ctx.epoch);
         let mut reported = 0.0;
         let mut reports = false;
         for slot in 0..cell.router.sim.psu_count() {
@@ -613,11 +620,19 @@ fn run_chunk(
         } else {
             SnmpPoll::NonReporting
         };
-        if reports {
-            out.spans.push(round, poll_span.finish(t, &ctx.epoch));
-        }
+        let poll_end = match poll_span {
+            Some(span) if reports => {
+                let end = ctx.epoch.elapsed_micros();
+                out.spans.push(round, span.finish(t, end));
+                Some(end)
+            }
+            _ => None,
+        };
 
-        let frame_span = StageSpan::begin("autopower_frame", t, &ctx.epoch);
+        let frame_span = cell.instrumented.then(|| {
+            let start = poll_end.unwrap_or_else(|| ctx.epoch.elapsed_micros());
+            StageSpan::begin("autopower_frame", t, start)
+        });
         let wall_read = if cell.instrumented {
             if ctx.poll_faults.should_drop(&cell.wall_stream, round) {
                 WallRead::Gap
@@ -627,8 +642,9 @@ fn run_chunk(
         } else {
             WallRead::NotInstrumented
         };
-        if cell.instrumented {
-            out.spans.push(round, frame_span.finish(t, &ctx.epoch));
+        if let Some(span) = frame_span {
+            out.spans
+                .push(round, span.finish(t, ctx.epoch.elapsed_micros()));
         }
 
         // One pattern evaluation feeds both the router's own traffic
@@ -642,12 +658,20 @@ fn run_chunk(
             traffic_contrib += if p.external { r } else { r / 2.0 };
         }
 
-        let predict_span = StageSpan::begin("predict", t, &ctx.epoch);
+        let predict_span = StageSpan::begin("predict", t, ctx.epoch.elapsed_micros());
         let predicted = cell
             .predictor
             .predict_router(index, &cell.router, ctx.step)
             .map(|p| p.as_f64());
-        out.spans.push(round, predict_span.finish(t, &ctx.epoch));
+        let predict_end = ctx.epoch.elapsed_micros();
+        out.spans.push(round, predict_span.finish(t, predict_end));
+
+        let step_span = StageSpan::begin("router_step", t, predict_end);
+        cell.router.step(t, &ctx.packets, ctx.step)?;
+        out.spans.push(
+            round,
+            step_span.finish(t + ctx.step, ctx.epoch.elapsed_micros()),
+        );
 
         out.records.push(RoundRecord {
             wall,
@@ -658,11 +682,6 @@ fn run_chunk(
             predicted,
             transition,
         });
-
-        let step_span = StageSpan::begin("router_step", t, &ctx.epoch);
-        cell.router.step(t, &ctx.packets, ctx.step)?;
-        out.spans
-            .push(round, step_span.finish(t + ctx.step, &ctx.epoch));
     }
 
     Ok(out)

@@ -14,9 +14,13 @@ mod common;
 use fj_core::InterfaceClass;
 use fj_faults::FaultPlan;
 use fj_isp::trace::{collect_streaming, StreamConfig};
-use fj_isp::{build_fleet, EventKind, Fleet, FleetConfig, FleetRouter, FleetTrace, ScheduledEvent};
+use fj_isp::{
+    build_fleet, CheckpointConfig, EventKind, Fleet, FleetConfig, FleetRouter, FleetTrace,
+    ScheduledEvent,
+};
 use fj_telemetry::Telemetry;
 use fj_units::{SimDuration, SimInstant, TimeSeries, Watts};
+use serde::Value;
 
 use common::{assert_diagnostic_split, deterministic_prometheus, stable_spans};
 
@@ -26,6 +30,14 @@ const SERIES_DIGEST: u64 = 0xfac0_6c3d_4f56_f92d;
 const PROMETHEUS_DIGEST: u64 = 0xe274_5b37_67c1_a07d;
 /// The span stream without wall stamps (`common::stable_spans`).
 const SPANS_DIGEST: u64 = 0xdf63_b679_aa9d_8069;
+/// The checkpoint files a checkpointed run of the same scenario leaves,
+/// payloads only, with every wall-clock key projected out
+/// ([`WALL_KEYS`]).
+const CHECKPOINT_DIGEST: u64 = 0x0b0a_f08e_b45f_bba6;
+
+/// Checkpoint keys that carry wall-clock time: span stamps and the
+/// per-stage wall totals. They measure the host, not the simulation.
+const WALL_KEYS: [&str; 4] = ["wall_start_us", "wall_end_us", "wall_us", "child_wall_us"];
 
 /// 64-bit FNV-1a.
 struct Fnv(u64);
@@ -119,6 +131,10 @@ fn scenario() -> (Fleet, Vec<ScheduledEvent>, FaultPlan) {
 }
 
 fn run() -> (FleetTrace, std::sync::Arc<Telemetry>) {
+    run_with(None)
+}
+
+fn run_with(checkpoints: Option<CheckpointConfig>) -> (FleetTrace, std::sync::Arc<Telemetry>) {
     let (mut fleet, events, plan) = scenario();
     let telemetry = Telemetry::with_capacity(1 << 16);
     let outcome = collect_streaming(
@@ -133,6 +149,7 @@ fn run() -> (FleetTrace, std::sync::Arc<Telemetry>) {
         &StreamConfig {
             shards: 2,
             chunk_rounds: 32,
+            checkpoints,
             ..StreamConfig::default()
         },
     )
@@ -182,4 +199,51 @@ fn outputs_match_the_pinned_digests() {
         [SERIES_DIGEST, PROMETHEUS_DIGEST, SPANS_DIGEST],
         "series, Prometheus and span digests"
     );
+}
+
+/// Drops every [`WALL_KEYS`] entry from the tree, at any depth.
+fn without_wall_keys(v: &mut Value) {
+    match v {
+        Value::Map(entries) => {
+            entries.retain(|(k, _)| !WALL_KEYS.contains(&k.as_str()));
+            entries.iter_mut().for_each(|(_, v)| without_wall_keys(v));
+        }
+        Value::Array(items) => items.iter_mut().for_each(without_wall_keys),
+        _ => {}
+    }
+}
+
+/// FNV-1a over the checkpoint payloads one checkpointed run writes at
+/// its chunk boundaries (rounds 32 and 64), wall keys projected out.
+fn checkpoint_digest(tag: &str) -> u64 {
+    let dir = std::env::temp_dir().join(format!("fj-digest-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    run_with(Some(CheckpointConfig::new(&dir)));
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("checkpoint dir exists")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 2, "one checkpoint per inner chunk boundary");
+    let mut h = Fnv::new();
+    for path in files {
+        let framed = std::fs::read(&path).expect("checkpoint readable");
+        let payload = fj_faults::frame::unseal(&framed).expect("checkpoint frame verifies");
+        let mut tree: Value = serde_json::from_slice(payload).expect("payload parses");
+        without_wall_keys(&mut tree);
+        h.write(&serde_json::to_vec(&tree).expect("tree serializes"));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    h.0
+}
+
+#[test]
+fn checkpoint_bytes_match_the_pinned_digest() {
+    let first = checkpoint_digest("a");
+    assert_eq!(
+        first,
+        checkpoint_digest("b"),
+        "two runs write the same bytes"
+    );
+    assert_eq!(first, CHECKPOINT_DIGEST, "checkpoint digest {first:#018x}");
 }

@@ -1,6 +1,7 @@
 //! Derivation configuration.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -43,7 +44,7 @@ impl DerivationConfig {
         pairs: usize,
         point_duration: SimDuration,
     ) -> Result<Self, SimError> {
-        let mut spec = RouterSpec::builtin(model)?;
+        let mut spec = Arc::unwrap_or_clone(RouterSpec::builtin(model)?);
         spec.psu_eff_offset_std = 0.0;
         let sweep = RateSweep::for_line_rate(speed.rate());
         Ok(Self {

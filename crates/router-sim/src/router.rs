@@ -1,5 +1,7 @@
 //! The simulated router: mutable state, power physics, telemetry.
 
+use std::sync::{Arc, OnceLock};
+
 use serde::{Deserialize, Serialize};
 
 use fj_core::{InterfaceConfig, InterfaceLoad, Speed, TransceiverType};
@@ -72,7 +74,8 @@ pub struct PsuState {
 /// consistent; all randomness derives from the construction seed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimulatedRouter {
-    spec: RouterSpec,
+    /// Immutable, so every router of a model can share one.
+    spec: Arc<RouterSpec>,
     seed: u64,
     now: SimInstant,
     interfaces: Vec<InterfaceState>,
@@ -81,6 +84,29 @@ pub struct SimulatedRouter {
     /// after the Fig. 8 OS update).
     extra_power: Watts,
     os_version: String,
+    #[serde(skip)]
+    wall: WallMemo,
+}
+
+/// The current state's wall power, memoised. A poll round reads it once
+/// directly and once per PSU sensor, so [`SimulatedRouter::wall_power`]
+/// fills it on a miss and every `&mut` method that changes one of its
+/// inputs clears it. It is a cache, not state: a clone copies it,
+/// equality ignores it, and serde skips it, so checkpoints do not carry
+/// it and a restored router recomputes.
+#[derive(Debug, Clone, Default)]
+struct WallMemo(OnceLock<Watts>);
+
+impl WallMemo {
+    fn clear(&mut self) {
+        self.0.take();
+    }
+}
+
+impl PartialEq for WallMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
 }
 
 /// SplitMix64-based uniform hash in [0, 1).
@@ -104,9 +130,11 @@ fn gauss(seed: u64, index: u64) -> f64 {
 }
 
 impl SimulatedRouter {
-    /// Builds a router from its spec. The seed fixes all unit-to-unit
-    /// variability (PSU efficiency offsets, sensor calibrations).
-    pub fn new(spec: RouterSpec, seed: u64) -> Self {
+    /// Builds a router from its spec, shared (a builtin) or owned. The
+    /// seed fixes all unit-to-unit variability (PSU efficiency offsets,
+    /// sensor calibrations).
+    pub fn new(spec: impl Into<Arc<RouterSpec>>, seed: u64) -> Self {
+        let spec = spec.into();
         let interfaces = spec
             .ports
             .iter()
@@ -145,11 +173,12 @@ impl SimulatedRouter {
             psus,
             extra_power: Watts::ZERO,
             os_version: "1.0.0".to_owned(),
+            wall: WallMemo::default(),
         }
     }
 
-    /// The hardware spec.
-    pub fn spec(&self) -> &RouterSpec {
+    /// The hardware spec, shared with every router built from it.
+    pub fn spec(&self) -> &Arc<RouterSpec> {
         &self.spec
     }
 
@@ -216,6 +245,7 @@ impl SimulatedRouter {
         st.transceiver = Some(transceiver);
         st.speed = speed;
         self.recompute_links();
+        self.wall.clear();
         Ok(())
     }
 
@@ -228,6 +258,7 @@ impl SimulatedRouter {
         let t = st.transceiver.take().ok_or(SimError::CageEmpty(i))?;
         st.load = InterfaceLoad::IDLE;
         self.recompute_links();
+        self.wall.clear();
         Ok(t)
     }
 
@@ -239,17 +270,25 @@ impl SimulatedRouter {
             .ok_or(SimError::NoSuchInterface(i))?;
         st.admin_up = up;
         self.recompute_links();
+        self.wall.clear();
         Ok(())
     }
 
-    /// Reconfigures the line rate of interface `i`.
+    /// Reconfigures the line rate of interface `i`. Like [`plug`](Self::plug),
+    /// refuses a rate at which the ground truth cannot price the module
+    /// in the cage.
     pub fn set_speed(&mut self, i: usize, speed: Speed) -> Result<(), SimError> {
         let port = self.spec.ports.get(i).ok_or(SimError::NoSuchInterface(i))?;
-        if !port.speeds.contains(&speed) {
+        let unpriced = self.interfaces[i].transceiver.is_some_and(|trx| {
+            let class = fj_core::InterfaceClass::new(port.port, trx, speed);
+            self.spec.truth.lookup(class).is_none()
+        });
+        if !port.speeds.contains(&speed) || unpriced {
             return Err(SimError::UnsupportedSpeed { iface: i, speed });
         }
         self.interfaces[i].speed = speed;
         self.recompute_links();
+        self.wall.clear();
         Ok(())
     }
 
@@ -267,6 +306,7 @@ impl SimulatedRouter {
         self.interfaces[a].link = LinkEnd::Internal(b);
         self.interfaces[b].link = LinkEnd::Internal(a);
         self.recompute_links();
+        self.wall.clear();
         Ok(())
     }
 
@@ -278,6 +318,7 @@ impl SimulatedRouter {
             .ok_or(SimError::NoSuchInterface(i))?;
         st.link = LinkEnd::External { peer_up };
         self.recompute_links();
+        self.wall.clear();
         Ok(())
     }
 
@@ -291,6 +332,7 @@ impl SimulatedRouter {
         }
         self.interfaces[i].link = LinkEnd::None;
         self.recompute_links();
+        self.wall.clear();
         Ok(())
     }
 
@@ -301,6 +343,7 @@ impl SimulatedRouter {
             .get_mut(i)
             .ok_or(SimError::NoSuchInterface(i))?;
         st.load = load;
+        self.wall.clear();
         Ok(())
     }
 
@@ -317,6 +360,7 @@ impl SimulatedRouter {
             }
         }
         self.psus[slot].enabled = enabled;
+        self.wall.clear();
         Ok(())
     }
 
@@ -339,6 +383,7 @@ impl SimulatedRouter {
             }
         }
         self.psus[slot].hot_standby = standby;
+        self.wall.clear();
         Ok(())
     }
 
@@ -371,6 +416,7 @@ impl SimulatedRouter {
     pub fn os_update(&mut self, version: impl Into<String>, delta: Watts) {
         self.os_version = version.into();
         self.extra_power += delta;
+        self.wall.clear();
     }
 
     // ------------------------------------------------------------------
@@ -426,9 +472,11 @@ impl SimulatedRouter {
             .spec
             .truth
             .predict_total(priced)
-            // fj-lint: allow(FJ02) — plug() rejects classes the truth model
-            // does not price, so prediction over plugged state cannot miss.
-            .expect("plug() guarantees every class is priced");
+            // fj-lint: allow(FJ02) — plug() and set_speed() reject classes
+            // the truth model does not price (and checkpoint loads reject
+            // routers holding one), so prediction over plugged state
+            // cannot miss.
+            .expect("plug() and set_speed() guarantee every class is priced");
         p + self.extra_power
     }
 
@@ -440,7 +488,14 @@ impl SimulatedRouter {
     /// baked into the published parameters). Individual units deviate
     /// from the model-typical efficiency by their own offset, producing
     /// the few-watt unit-to-unit differences behind the Fig. 4 offsets.
+    ///
+    /// Evaluated once per state: the result is memoised until a mutator
+    /// changes an input (interfaces, PSU bays, unmodeled draw).
     pub fn wall_power(&self) -> Watts {
+        *self.wall.0.get_or_init(|| self.evaluate_wall_power())
+    }
+
+    fn evaluate_wall_power(&self) -> Watts {
         let is_carrier = |p: &&PsuState| p.enabled && !p.hot_standby;
         let carriers = self.psus.iter().filter(is_carrier).count();
         if carriers == 0 {
@@ -486,16 +541,18 @@ impl SimulatedRouter {
     /// §4.3 factors the model absorbs imperfectly into `P_base`).
     pub fn add_unmodeled_draw(&mut self, delta: Watts) {
         self.extra_power += delta;
+        self.wall.clear();
     }
 
     /// The PSU input power the *firmware* reports for `slot`, subject to
     /// the model's sensor pathology. `None` when the router does not
-    /// export power or the bay is disabled.
+    /// export power (from any bay, hot stand-by included) or the bay is
+    /// disabled.
     pub fn psu_reported_power(&mut self, slot: usize) -> Result<Option<Watts>, SimError> {
         if slot >= self.psus.len() {
             return Err(SimError::NoSuchPsu(slot));
         }
-        if !self.psus[slot].enabled {
+        if !self.spec.sensor.reports() || !self.psus[slot].enabled {
             return Ok(None);
         }
         if self.psus[slot].hot_standby {
@@ -641,6 +698,21 @@ mod tests {
             r.plug(0, TransceiverType::PassiveDac, Speed::G100),
             Err(SimError::CageOccupied(0))
         ));
+    }
+
+    #[test]
+    fn set_speed_refuses_a_rate_the_truth_cannot_price() {
+        let mut r = router("NCS-55A1-24H");
+        r.plug(0, TransceiverType::Lr4, Speed::G100).unwrap();
+        // The cage runs 25G, but the truth prices LR4 only at 100G.
+        assert!(matches!(
+            r.set_speed(0, Speed::G25),
+            Err(SimError::UnsupportedSpeed { iface: 0, .. })
+        ));
+        assert_eq!(r.interface(0).unwrap().speed, Speed::G100);
+        r.wall_power();
+        // An empty cage takes any rate it supports.
+        r.set_speed(1, Speed::G25).unwrap();
     }
 
     #[test]
@@ -847,6 +919,19 @@ mod hot_standby_tests {
         assert!(standby < balanced, "standby {standby} balanced {balanced}");
         // The standby PSU is still online (reported as a live sensor).
         assert_eq!(r.psu_reported_power(1).unwrap().unwrap().as_f64(), 2.0);
+    }
+
+    #[test]
+    fn standby_bay_reports_only_where_the_router_exports_power() {
+        let mut r = router();
+        r.set_psu_hot_standby(1, true).unwrap();
+        assert_eq!(r.psu_reported_power(1).unwrap(), Some(Watts::new(2.0)));
+        // The N540X exports no PSU power (Fig. 4c), from any bay.
+        let mut n = SimulatedRouter::new(RouterSpec::builtin("N540X-8Z16G-SYS-A").unwrap(), 7);
+        n.set_psu_hot_standby(1, true).unwrap();
+        for slot in 0..n.psu_count() {
+            assert_eq!(n.psu_reported_power(slot).unwrap(), None, "slot {slot}");
+        }
     }
 
     #[test]

@@ -12,6 +12,8 @@
 // itself (duplicate class, missing builtin), which is a compile-time data
 // bug the test suite catches, not a runtime condition to degrade through.
 
+use std::sync::{Arc, OnceLock};
+
 use serde::{Deserialize, Serialize};
 
 use fj_core::{
@@ -64,17 +66,20 @@ pub struct RouterSpec {
 }
 
 impl RouterSpec {
-    /// Looks up one of the built-in specs by model name.
-    pub fn builtin(model: &str) -> Result<RouterSpec, SimError> {
-        builtin_specs()
-            .into_iter()
+    /// Looks up one of the built-in specs by model name. The table is
+    /// built once per process, and every caller shares its entry; a
+    /// caller that needs a variant clones the spec out of the `Arc`.
+    pub fn builtin(model: &str) -> Result<Arc<RouterSpec>, SimError> {
+        builtin_table()
+            .iter()
             .find(|s| s.model == model)
+            .cloned()
             .ok_or_else(|| SimError::UnknownModel(model.to_owned()))
     }
 
     /// Names of all built-in specs.
     pub fn builtin_names() -> Vec<String> {
-        builtin_specs().into_iter().map(|s| s.model).collect()
+        builtin_table().iter().map(|s| s.model.clone()).collect()
     }
 
     /// Total port count.
@@ -212,9 +217,15 @@ fn n_ports(n: usize, port: PortType, speeds: &[Speed]) -> Vec<PortSlot> {
         .collect()
 }
 
+/// The built-in specs, built on first use.
+fn builtin_table() -> &'static [Arc<RouterSpec>] {
+    static TABLE: OnceLock<Vec<Arc<RouterSpec>>> = OnceLock::new();
+    TABLE.get_or_init(|| builtin_specs().into_iter().map(Arc::new).collect())
+}
+
 /// All built-in router specs — the eight lab-modeled devices plus the
 /// fleet-only models of Table 1.
-pub fn builtin_specs() -> Vec<RouterSpec> {
+fn builtin_specs() -> Vec<RouterSpec> {
     use PortType::*;
     use Speed::*;
 
@@ -396,6 +407,20 @@ mod tests {
         assert_eq!(s.model, "8201-32FH");
         assert_eq!(s.port_count(), 32);
         assert!(RouterSpec::builtin("bogus").is_err());
+    }
+
+    #[test]
+    fn builtin_specs_are_shared_and_equal_a_fresh_build() {
+        let a = RouterSpec::builtin("NCS-55A1-24H").unwrap();
+        assert!(Arc::ptr_eq(
+            &a,
+            &RouterSpec::builtin("NCS-55A1-24H").unwrap()
+        ));
+        let fresh = builtin_specs();
+        assert_eq!(RouterSpec::builtin_names().len(), fresh.len());
+        for s in fresh {
+            assert_eq!(*RouterSpec::builtin(&s.model).unwrap(), s);
+        }
     }
 
     #[test]

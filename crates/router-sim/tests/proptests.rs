@@ -1,9 +1,10 @@
 //! Property-based tests for the router simulator's physical invariants.
 
-use fj_core::{InterfaceLoad, Speed, TransceiverType};
+use fj_core::{InterfaceClass, InterfaceLoad, Speed, TransceiverType};
 use fj_router_sim::{RouterSpec, SimulatedRouter};
-use fj_units::{Bytes, DataRate, SimDuration};
+use fj_units::{Bytes, DataRate, SimDuration, SimInstant, Watts};
 use proptest::prelude::*;
+use proptest::TestCaseError;
 
 fn arb_model() -> impl Strategy<Value = String> {
     prop::sample::select(RouterSpec::builtin_names())
@@ -120,5 +121,206 @@ proptest! {
         router.set_psu_hot_standby(1, true).unwrap();
         router.set_psu_hot_standby(1, false).unwrap();
         prop_assert!((router.wall_power() - before).abs().as_f64() < 1e-9);
+    }
+}
+
+/// One step of a random session against a router. Each `usize` picks,
+/// modulo the count, among the router's own interfaces or bays plus one
+/// out-of-range index, so error paths run too.
+#[derive(Debug, Clone)]
+enum Op {
+    Plug(usize, usize),
+    Unplug(usize),
+    SetAdmin(usize, bool),
+    SetSpeed(usize, usize),
+    Cable(usize, usize),
+    Uncable(usize),
+    SetExternalPeer(usize, bool),
+    SetLoad(usize, f64),
+    SetPsuEnabled(usize, bool),
+    SetPsuHotStandby(usize, bool),
+    PowerCyclePsu(usize),
+    OsUpdate(f64),
+    AddUnmodeledDraw(f64),
+    Tick(i64),
+    SetTime(i64),
+    Console(usize, usize, usize),
+    ReadPsu(usize),
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    // Half the picks land on the first ports, where sessions plug.
+    let i = || prop_oneof![0usize..6, any::<usize>()];
+    prop_oneof![
+        (i(), i()).prop_map(|(a, b)| Op::Plug(a, b)),
+        i().prop_map(Op::Unplug),
+        (i(), any::<bool>()).prop_map(|(a, up)| Op::SetAdmin(a, up)),
+        (i(), i()).prop_map(|(a, b)| Op::SetSpeed(a, b)),
+        (i(), i()).prop_map(|(a, b)| Op::Cable(a, b)),
+        i().prop_map(Op::Uncable),
+        (i(), any::<bool>()).prop_map(|(a, up)| Op::SetExternalPeer(a, up)),
+        (i(), 0.0f64..100.0).prop_map(|(a, g)| Op::SetLoad(a, g)),
+        (i(), any::<bool>()).prop_map(|(a, on)| Op::SetPsuEnabled(a, on)),
+        (i(), any::<bool>()).prop_map(|(a, on)| Op::SetPsuHotStandby(a, on)),
+        i().prop_map(Op::PowerCyclePsu),
+        (-30.0f64..60.0).prop_map(Op::OsUpdate),
+        (-30.0f64..60.0).prop_map(Op::AddUnmodeledDraw),
+        (0i64..4_000).prop_map(Op::Tick),
+        (0i64..1_000_000).prop_map(Op::SetTime),
+        (i(), i(), i()).prop_map(|(a, b, c)| Op::Console(a, b, c)),
+        i().prop_map(Op::ReadPsu),
+    ]
+}
+
+/// Applies `op`, ignoring refusals: a refused call must leave the
+/// router (memo included) as it was.
+fn apply(router: &mut SimulatedRouter, op: &Op, bare: bool) {
+    let spec = router.spec().clone();
+    let ifaces = router.interface_count() + 1;
+    let bays = router.psu_count() + 1;
+    let at = |ix: &usize| ix % ifaces;
+    let bay = |ix: &usize| ix % bays;
+    // The classes the truth model prices on interface `i`'s cage.
+    let classes = |i: usize| -> Vec<InterfaceClass> {
+        spec.ports.get(i).map_or_else(Vec::new, |slot| {
+            spec.truth
+                .classes()
+                .iter()
+                .map(|cp| cp.class)
+                .filter(|c| c.port == slot.port && slot.speeds.contains(&c.speed))
+                .collect()
+        })
+    };
+    match op {
+        Op::Plug(a, b) if !bare => {
+            let i = at(a);
+            let cands = classes(i);
+            if !cands.is_empty() {
+                let c = cands[b % cands.len()];
+                let _ = router.plug(i, c.transceiver, c.speed);
+            }
+        }
+        Op::Plug(..) => {}
+        Op::Unplug(a) => {
+            let _ = router.unplug(at(a));
+        }
+        Op::SetAdmin(a, up) => {
+            let _ = router.set_admin(at(a), *up);
+        }
+        Op::SetSpeed(a, b) => {
+            let _ = router.set_speed(at(a), Speed::ALL[b % Speed::ALL.len()]);
+        }
+        Op::Cable(a, b) => {
+            let _ = router.cable(at(a), at(b));
+        }
+        Op::Uncable(a) => {
+            let _ = router.uncable(at(a));
+        }
+        Op::SetExternalPeer(a, up) => {
+            let _ = router.set_external_peer(at(a), *up);
+        }
+        Op::SetLoad(a, gbps) => {
+            let load = InterfaceLoad::from_rate(DataRate::from_gbps(*gbps), Bytes::new(800.0));
+            let _ = router.set_load(at(a), load);
+        }
+        Op::SetPsuEnabled(s, on) => {
+            let _ = router.set_psu_enabled(bay(s), *on);
+        }
+        Op::SetPsuHotStandby(s, on) => {
+            let _ = router.set_psu_hot_standby(bay(s), *on);
+        }
+        Op::PowerCyclePsu(s) => {
+            let _ = router.power_cycle_psu(bay(s));
+        }
+        Op::OsUpdate(delta) => router.os_update("9.9.9", Watts::new(*delta)),
+        Op::AddUnmodeledDraw(delta) => router.add_unmodeled_draw(Watts::new(*delta)),
+        Op::Tick(secs) => router.tick(SimDuration::from_secs(*secs)),
+        Op::SetTime(secs) => router.set_time(SimInstant::from_secs(*secs)),
+        Op::Console(a, b, c) => {
+            let (i, j) = (at(a), at(b));
+            let speed = Speed::ALL[c % Speed::ALL.len()];
+            let cands = classes(i);
+            let plug = (!bare && !cands.is_empty()).then(|| {
+                let cl = cands[c % cands.len()];
+                format!("plug {i} {} {}", cl.transceiver, cl.speed)
+            });
+            let line = match c % 9 {
+                0 => format!("interface {i} up"),
+                1 => format!("interface {i} down"),
+                2 => format!("interface {i} speed {speed}"),
+                3 => plug.unwrap_or_else(|| "show psu".to_owned()),
+                4 => format!("unplug {i}"),
+                5 => format!("cable {i} {j}"),
+                6 => format!(
+                    "psu {} standby {}",
+                    bay(b),
+                    if i % 2 == 0 { "on" } else { "off" }
+                ),
+                7 => "show power".to_owned(),
+                _ => format!("show interface {i}"),
+            };
+            let _ = router.console(&line);
+        }
+        Op::ReadPsu(s) => {
+            let _ = router.psu_reported_power(bay(s));
+            let _ = router.psu_snapshot(bay(s));
+        }
+    }
+}
+
+/// Wall power and every sensor read, bit for bit, against a copy rebuilt
+/// through serde, which starts with an empty memo. Reads fill the memo,
+/// so the next mutator must have cleared it.
+fn assert_memo_fresh(router: &mut SimulatedRouter, step: usize) -> Result<(), TestCaseError> {
+    let json = serde_json::to_string(&*router).expect("router serializes");
+    let mut fresh: SimulatedRouter = serde_json::from_str(&json).expect("router parses");
+    prop_assert_eq!(&fresh, &*router, "step {}: round trip", step);
+    prop_assert_eq!(
+        router.wall_power().as_f64().to_bits(),
+        fresh.wall_power().as_f64().to_bits(),
+        "step {}: wall power",
+        step
+    );
+    for slot in 0..router.psu_count() {
+        let bits = |w: Option<Watts>| w.map(|w| w.as_f64().to_bits());
+        prop_assert_eq!(
+            bits(router.psu_reported_power(slot).unwrap()),
+            bits(fresh.psu_reported_power(slot).unwrap()),
+            "step {}: PSU {} report",
+            step,
+            slot
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The wall-power memo never serves a stale value: every public
+    /// `&mut` method and console command that changes an input clears
+    /// it. `bare` sessions never plug a module, so the router keeps no
+    /// active interface throughout; the others start with live links.
+    #[test]
+    fn wall_memo_tracks_every_mutation(
+        model in arb_model(),
+        seed in 0u64..1000,
+        bare in any::<bool>(),
+        ops in prop::collection::vec(arb_op(), 1..40),
+    ) {
+        let mut router = SimulatedRouter::new(RouterSpec::builtin(&model).unwrap(), seed);
+        if !bare {
+            for i in populate(&mut router, 4) {
+                router.set_external_peer(i, true).unwrap();
+                router.set_admin(i, true).unwrap();
+                let load = InterfaceLoad::from_rate(DataRate::from_gbps(1.0), Bytes::new(800.0));
+                router.set_load(i, load).unwrap();
+            }
+        }
+        assert_memo_fresh(&mut router, 0)?;
+        for (step, op) in ops.iter().enumerate() {
+            apply(&mut router, op, bare);
+            assert_memo_fresh(&mut router, step + 1)?;
+        }
     }
 }

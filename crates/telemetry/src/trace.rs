@@ -67,7 +67,14 @@ impl SpanRecord {
     }
 }
 
-/// An in-progress worker-side span: two stamps at begin, two at finish.
+/// An in-progress worker-side span: a sim stamp and a wall stamp at
+/// begin, two more at finish.
+///
+/// The caller reads the wall stamps, as µs since the owning sink's epoch
+/// ([`TraceSink::epoch`], then [`WallEpoch::elapsed_micros`]), so worker
+/// and merge stamps share one time base. Spans that touch pass the same
+/// stamp (one read ends a span and opens the next), and a span that is
+/// never recorded needs no read.
 #[derive(Debug)]
 pub struct StageSpan {
     name: &'static str,
@@ -76,25 +83,24 @@ pub struct StageSpan {
 }
 
 impl StageSpan {
-    /// Opens a stage span. `epoch` must be the owning sink's epoch
-    /// ([`TraceSink::epoch`]) so worker stamps and merge stamps share one
-    /// time base.
-    pub fn begin(name: &'static str, sim: SimInstant, epoch: &WallEpoch) -> Self {
+    /// Opens a stage span at sim time `sim` and wall stamp `wall_us`.
+    pub fn begin(name: &'static str, sim: SimInstant, wall_us: u64) -> Self {
         Self {
             name,
             sim_start: sim,
-            wall_start_us: epoch.elapsed_micros(),
+            wall_start_us: wall_us,
         }
     }
 
-    /// Closes the span into an immutable record.
-    pub fn finish(self, sim_end: SimInstant, epoch: &WallEpoch) -> SpanRecord {
+    /// Closes the span at `sim_end` and wall stamp `wall_us` into an
+    /// immutable record.
+    pub fn finish(self, sim_end: SimInstant, wall_us: u64) -> SpanRecord {
         SpanRecord {
             name: self.name,
             sim_start: self.sim_start,
             sim_end,
             wall_start_us: self.wall_start_us,
-            wall_end_us: epoch.elapsed_micros(),
+            wall_end_us: wall_us,
         }
     }
 }
