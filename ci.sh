@@ -31,17 +31,29 @@ cargo test --workspace -q
 echo "==> benchmark build (ledgerbench is its own workspace; test --workspace skips it)"
 cargo build --release --offline --manifest-path ledgerbench/Cargo.toml
 
-echo "==> allocation budget (traced census_stream: <= 1 allocation per router-round, exact replay)"
+echo "==> benchmark output checks (both workloads untraced: correct, no failed operation)"
+for workload in census_stream switch_sleep; do
+    result=$(cargo run -q --release --offline --manifest-path ledgerbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)
+    echo "$workload: ${result:0:80}"
+    echo "$result" | grep -q '^{"correct": true, "attempted": [0-9]*, "failed": 0,' \
+        || { echo "$workload failed its output checks" >&2; exit 1; }
+done
+
+echo "==> allocation budget (traced census_stream: <= 0.5 allocations per router-round, exact replays)"
 ledger=$(cargo run -q --release --offline --manifest-path ledgerbench/Cargo.toml -- \
     --workload census_stream --seed 1 --trace 1 | tail -n 1)
-allocs=$(echo "$ledger" | sed -n 's/.*"isp\.engine\.allocs_per_rr": {"value": \([^,}]*\).*/\1/p')
-mismatches=$(echo "$ledger" | sed -n 's/.*"bench\.replay\.mismatches": {"value": \([^,}]*\).*/\1/p')
-echo "isp.engine.allocs_per_rr=$allocs bench.replay.mismatches=$mismatches"
-awk -v a="$allocs" -v m="$mismatches" 'BEGIN { exit !(a != "" && m != "" && a <= 1 && m == 0) }' \
+metric() { echo "$ledger" | sed -n "s/.*\"$1\": {\"value\": \([^,}]*\).*/\1/p"; }
+allocs=$(metric 'isp\.engine\.allocs_per_rr')
+mismatches=$(metric 'bench\.replay\.mismatches')
+ops_mismatches=$(metric 'ops\.bench\.replay\.mismatches')
+echo "isp.engine.allocs_per_rr=$allocs bench.replay.mismatches=$mismatches ops.bench.replay.mismatches=$ops_mismatches"
+awk -v a="$allocs" -v m="$mismatches" -v o="$ops_mismatches" \
+    'BEGIN { exit !(a != "" && m != "" && o != "" && a <= 0.5 && m == 0 && o == 0) }' \
     || { echo "allocation budget exceeded or replay diverged" >&2; exit 1; }
 
-echo "==> cargo doc (broken and private intra-doc links are errors)"
-cargo doc --workspace --no-deps --offline
+echo "==> cargo doc (warnings, broken and private intra-doc links are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> telemetry smoke"
 cargo run -q -p fj-bench --bin telemetry_smoke

@@ -231,12 +231,15 @@ pub(crate) fn load(path: &Path) -> Result<CheckpointState, CheckpointError> {
 /// never a panic.
 fn decode(bytes: &[u8]) -> Result<CheckpointState, CheckpointError> {
     let payload = frame::unseal(bytes).map_err(CheckpointError::Frame)?;
-    let state: CheckpointState =
+    let mut state: CheckpointState =
         serde_json::from_slice(payload).map_err(|e| CheckpointError::Parse(e.to_string()))?;
     if state.version != CHECKPOINT_VERSION {
         return Err(CheckpointError::Version(state.version));
     }
     state.routers.iter().try_for_each(RouterState::check)?;
+    for rs in &mut state.routers {
+        rs.router.sim.share_builtin_spec();
+    }
     Ok(state)
 }
 
@@ -366,11 +369,14 @@ mod tests {
     use crate::build::build_fleet;
     use crate::config::FleetConfig;
     use crate::events::EventKind;
+    use crate::fleet::Fleet;
     use crate::predict::ModelPredictor;
     use fj_core::{ModelRegistry, Speed, TransceiverType};
+    use fj_router_sim::{RouterSpec, SimulatedRouter};
     use fj_units::Watts;
     use proptest::prelude::*;
     use serde::Value;
+    use std::sync::Arc;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("fjck-{tag}-{}", std::process::id()));
@@ -379,7 +385,14 @@ mod tests {
     }
 
     fn state(fingerprint: u64, rounds_done: u64) -> CheckpointState {
-        let fleet = build_fleet(&FleetConfig::small(3));
+        state_of(
+            build_fleet(&FleetConfig::small(3)),
+            fingerprint,
+            rounds_done,
+        )
+    }
+
+    fn state_of(fleet: Fleet, fingerprint: u64, rounds_done: u64) -> CheckpointState {
         CheckpointState {
             version: CHECKPOINT_VERSION,
             fingerprint,
@@ -428,6 +441,32 @@ mod tests {
             original.routers[0].router.name
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn loaded_routers_share_builtin_specs_and_custom_specs_stay_their_own() {
+        let mut original = state_of(build_fleet(&FleetConfig::census_of(1, 20)), 1, 10);
+        let mut custom = RouterSpec::clone(original.routers[0].router.sim.spec());
+        custom.psu_capacity_w += 100.0;
+        original.routers[0].router.sim = SimulatedRouter::new(custom, 7);
+        let payload = serde_json::to_vec(&original).unwrap();
+        let loaded = decode(&frame::seal(&payload)).unwrap();
+
+        let spec = |i: usize| loaded.routers[i].router.sim.spec();
+        let builtin = |i: usize| RouterSpec::builtin(&spec(i).model).unwrap();
+        let (a, b) = (1..loaded.routers.len())
+            .flat_map(|a| (a + 1..loaded.routers.len()).map(move |b| (a, b)))
+            .find(|&(a, b)| spec(a).model == spec(b).model)
+            .expect("two census routers share a model");
+        assert!(Arc::ptr_eq(spec(a), spec(b)), "one spec per model again");
+        assert!(Arc::ptr_eq(spec(a), &builtin(a)));
+        assert!(
+            !Arc::ptr_eq(spec(0), &builtin(0)),
+            "a custom spec keeps its copy"
+        );
+        for (back, sent) in loaded.routers.iter().zip(&original.routers) {
+            assert_eq!(back.router.sim, sent.router.sim, "same router, same spec");
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! predictor reproduces the flawed inference faithfully.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use fj_core::{InterfaceConfig, InterfaceLoad, ModelRegistry};
 use fj_units::{DataRate, PacketRate, SimDuration, Watts};
@@ -34,7 +35,7 @@ fn slot(ifaces: &mut Vec<Option<Counters>>, iface: usize) -> &mut Option<Counter
 
 /// Stateful predictor: remembers the previous poll's counters.
 pub struct ModelPredictor {
-    registry: ModelRegistry,
+    registry: Arc<ModelRegistry>,
     /// Per fleet index, the counters last seen on each interface, indexed
     /// by interface (`None` until first polled): one map probe per call.
     last: BTreeMap<usize, Vec<Option<Counters>>>,
@@ -43,10 +44,11 @@ pub struct ModelPredictor {
 impl ModelPredictor {
     /// Creates a predictor using the given model registry (typically the
     /// lab-derived models — in this workspace, the truth registry, since
-    /// NetPowerBench demonstrably recovers it).
-    pub fn new(registry: ModelRegistry) -> Self {
+    /// NetPowerBench demonstrably recovers it). Predictors may share one
+    /// registry ([`fj_router_sim::spec::shared_truth_registry`]).
+    pub fn new(registry: impl Into<Arc<ModelRegistry>>) -> Self {
         Self {
-            registry,
+            registry: registry.into(),
             last: BTreeMap::new(),
         }
     }

@@ -29,8 +29,12 @@
 //! - **merge** — the main thread drains the chunk's records in strict
 //!   `(round, router-index)` order: per-router series and fleet totals
 //!   accumulate in fleet order, and telemetry (gap cause events, health
-//!   transitions, counters, gauges, adopted spans) is emitted in exactly
-//!   the sequence the old sequential loop produced;
+//!   transitions, counters, gauges) is emitted in exactly the sequence
+//!   the old sequential loop produced. The workers' stage spans are
+//!   adopted in one batch at the end of the chunk, with the ids and ring
+//!   contents span-by-span adoption in that order would give; only the
+//!   spans the trace ring keeps are built. A flight-recorder trip first
+//!   adopts the spans merged so far, so its dump sees them all;
 //! - **boundary** — alerts, then progress, then checkpoint.
 //!
 //! The phases **pipeline** at every shard count: wait for chunk N,
@@ -96,7 +100,7 @@ use fj_obs::{EfficiencyAccumulator, ParallelEfficiencyReport};
 use fj_router_sim::SimError;
 use fj_telemetry::{
     Counter, Gauge, Histogram, Level, RunProgress, SpanBuffer, SpanId, SpanTimer, StageSpan,
-    Telemetry, WallEpoch,
+    Telemetry, TraceSink, WallEpoch,
 };
 use fj_traffic::PacketProfile;
 use fj_units::{SimDuration, SimInstant, TimeSeries};
@@ -460,7 +464,7 @@ impl RouterCell {
             snmp_stream: format!("snmp/{}", router.name),
             wall_stream: format!("wall/{}", router.name),
             instrumented,
-            predictor: ModelPredictor::new(fj_router_sim::spec::truth_registry()),
+            predictor: ModelPredictor::new(fj_router_sim::spec::shared_truth_registry()),
             health: TargetHealth::new(),
             next_event: 0,
             router,
@@ -500,6 +504,46 @@ impl RouterCell {
 struct ChunkOutput {
     records: Vec<RoundRecord>,
     spans: SpanBuffer,
+}
+
+/// Adopts, as one batch under `parent`, every worker span still pending
+/// before the merge point `(round, router)`: all earlier rounds, plus
+/// `round` itself for the routers below `router`. Ids follow strict
+/// `(round, router-index)` order, so the span stream is bit-identical at
+/// any shard count. The sink builds only the spans its ring keeps, so
+/// the walk goes newest-first and stops once the ring's capacity is
+/// filled: O(routers + capacity) per call, however many spans the chunk
+/// recorded. The adopted prefix of every buffer is then discarded.
+fn adopt_before(
+    tracer: &TraceSink,
+    parent: SpanId,
+    outs: &mut [ChunkOutput],
+    labels: &[Arc<str>],
+    (round, router): (u64, usize),
+) {
+    let pending = |j: usize, o: &ChunkOutput| o.spans.count_before(round + u64::from(j < router));
+    let total: usize = outs.iter().enumerate().map(|(j, o)| pending(j, o)).sum();
+    let keep = total.min(tracer.capacity());
+    let routers = outs.len();
+    let cells = (0..=round).rev().flat_map(|r| {
+        let below = if r == round { router } else { routers };
+        (0..below).rev().map(move |j| (r, j))
+    });
+    let mut tail = Vec::with_capacity(keep);
+    for (r, j) in cells {
+        let room = keep - tail.len();
+        if room == 0 {
+            break;
+        }
+        let lane = u32::try_from(j + 1).unwrap_or(u32::MAX);
+        let spans = outs[j].spans.round(r).rev().take(room);
+        tail.extend(spans.map(|rec| (lane, *rec, Some(&labels[j]))));
+    }
+    let total = u64::try_from(total).unwrap_or(u64::MAX);
+    tracer.adopt_tail(Some(parent), total, tail.into_iter().rev());
+    for (j, o) in outs.iter_mut().enumerate() {
+        o.spans.discard(pending(j, o));
+    }
 }
 
 /// Global round window `[first, end)` of one epoch chunk.
@@ -1367,6 +1411,10 @@ impl<'a> StreamEngine<'a> {
         let merge_span = tracer.begin_span("fleet_merge", Some(self.root_span), chunk_start);
         let (metrics, traces, trace) = (&self.metrics, &mut self.traces, &mut self.trace);
         let labels = &self.labels;
+        // Worker spans are adopted in bulk (`adopt_before`): after the
+        // round loop, so they sit between the sim and merge spans in the
+        // ring as they always did, and before a flight-recorder trip, so
+        // the dump holds every span merged up to its router.
         for round in window.first..window.end {
             let t = round_time(start, step, round);
             // Stamp the sim clock first: every event emitted this round —
@@ -1381,18 +1429,8 @@ impl<'a> StreamEngine<'a> {
             let mut total_reported = 0.0;
             let mut total_traffic = 0.0;
             let mut reported_unknown = false;
-            let routers = traces.iter_mut().zip(outs.iter_mut()).zip(labels);
-            for (i, ((rt, out), label)) in routers.enumerate() {
-                let rec = out.records[rec_index];
-                // Adopt this router's worker spans for the round *before*
-                // emitting its telemetry: sequential ids in strict
-                // `(round, router-index)` order — the trace stream is
-                // bit-identical at any shard count — and fault cause events
-                // always land after the span they join to.
-                let lane = u32::try_from(i + 1).unwrap_or(u32::MAX);
-                for span_rec in out.spans.drain_through(round) {
-                    tracer.adopt(Some(sim_span), lane, span_rec, Some(label));
-                }
+            for (i, rt) in traces.iter_mut().enumerate() {
+                let rec = outs[i].records[rec_index];
                 total_wall += rec.wall;
                 total_traffic += rec.traffic_contrib;
 
@@ -1446,7 +1484,12 @@ impl<'a> StreamEngine<'a> {
                             if before == HealthState::Healthy {
                                 // Leaving Healthy is the dump trigger: the
                                 // recorder (if armed) captures the recent
-                                // span+event rings at the first failure.
+                                // span+event rings at the first failure,
+                                // this router's spans of the round included.
+                                if telemetry.flight_recorder_armed() {
+                                    let point = (round, i + 1);
+                                    adopt_before(tracer, sim_span, &mut outs, labels, point);
+                                }
                                 let _ = telemetry.trip_flight_recorder(
                                     "router health ladder left healthy",
                                     &[
@@ -1508,6 +1551,7 @@ impl<'a> StreamEngine<'a> {
 
             round_span.finish();
         }
+        adopt_before(tracer, sim_span, &mut outs, labels, (window.end, 0));
         tracer.end_span(merge_span, chunk_end);
         self.round = window.end;
         self.chunks_done += 1;

@@ -11,6 +11,8 @@
 
 mod common;
 
+use std::sync::Arc;
+
 use fj_core::InterfaceClass;
 use fj_faults::FaultPlan;
 use fj_isp::trace::{collect_streaming, StreamConfig};
@@ -34,6 +36,9 @@ const SPANS_DIGEST: u64 = 0xdf63_b679_aa9d_8069;
 /// payloads only, with every wall-clock key projected out
 /// ([`WALL_KEYS`]).
 const CHECKPOINT_DIGEST: u64 = 0x0b0a_f08e_b45f_bba6;
+/// The span streams, drop counts and flight-recorder dumps of two runs
+/// whose span rings overflow mid-chunk ([`overflow_digest`]).
+const OVERFLOW_DIGEST: u64 = 0x3011_8bf2_440d_3319;
 
 /// Checkpoint keys that carry wall-clock time: span stamps and the
 /// per-stage wall totals. They measure the host, not the simulation.
@@ -130,13 +135,19 @@ fn scenario() -> (Fleet, Vec<ScheduledEvent>, FaultPlan) {
     (fleet, events, plan)
 }
 
-fn run() -> (FleetTrace, std::sync::Arc<Telemetry>) {
+fn run() -> (FleetTrace, Arc<Telemetry>) {
     run_with(None)
 }
 
-fn run_with(checkpoints: Option<CheckpointConfig>) -> (FleetTrace, std::sync::Arc<Telemetry>) {
-    let (mut fleet, events, plan) = scenario();
+fn run_with(checkpoints: Option<CheckpointConfig>) -> (FleetTrace, Arc<Telemetry>) {
     let telemetry = Telemetry::with_capacity(1 << 16);
+    let trace = run_into(&telemetry, checkpoints);
+    (trace, telemetry)
+}
+
+/// The digest scenario, collected into `telemetry`.
+fn run_into(telemetry: &Arc<Telemetry>, checkpoints: Option<CheckpointConfig>) -> FleetTrace {
+    let (mut fleet, events, plan) = scenario();
     let outcome = collect_streaming(
         &mut fleet,
         SimInstant::EPOCH,
@@ -145,7 +156,7 @@ fn run_with(checkpoints: Option<CheckpointConfig>) -> (FleetTrace, std::sync::Ar
         events,
         &[0, 3],
         &plan,
-        &telemetry,
+        telemetry,
         &StreamConfig {
             shards: 2,
             chunk_rounds: 32,
@@ -155,7 +166,7 @@ fn run_with(checkpoints: Option<CheckpointConfig>) -> (FleetTrace, std::sync::Ar
     )
     .expect("collection succeeds");
     assert!(outcome.completed, "full horizon collected");
-    (outcome.trace, telemetry)
+    outcome.trace
 }
 
 #[test]
@@ -246,4 +257,97 @@ fn checkpoint_bytes_match_the_pinned_digest() {
         "two runs write the same bytes"
     );
     assert_eq!(first, CHECKPOINT_DIGEST, "checkpoint digest {first:#018x}");
+}
+
+/// Feeds one run's overflow-sensitive outputs into `h`: the stable span
+/// stream (ids, parents, lanes, `dropped()`), `spans_dropped_total`, and
+/// the flight-recorder dump with wall keys projected out. Returns the ids
+/// of the dump's finished spans, so a caller can check the ring had
+/// overflowed when the recorder tripped.
+fn hash_overflowed(h: &mut Fnv, telemetry: &Telemetry) -> Vec<u64> {
+    for line in stable_spans(telemetry) {
+        h.write(line.as_bytes());
+        h.write(b"\n");
+    }
+    let dropped_total = telemetry.registry().counter_total("spans_dropped_total");
+    h.write(&dropped_total.to_le_bytes());
+    let path = telemetry
+        .flight_recorder_path()
+        .expect("a health trip dumped a flight record");
+    let text = std::fs::read_to_string(&path).expect("dump readable");
+    let mut dump: Value = serde_json::from_str(&text).expect("dump parses");
+    without_wall_keys(&mut dump);
+    h.write(&serde_json::to_vec(&dump).expect("dump serializes"));
+    let spans = serde::field(dump.as_map().expect("dump is an object"), "spans");
+    let spans = spans.as_array().expect("dump spans");
+    spans
+        .iter()
+        .map(|s| match serde::field(s.as_map().expect("span"), "id") {
+            Value::UInt(id) => *id,
+            other => panic!("span id {other:?}"),
+        })
+        .collect()
+}
+
+/// Two runs whose 1 000-span sink ring overflows mid-chunk, each with an
+/// armed flight recorder: the digest scenario (32-round chunks), and eight
+/// routers through one whole-horizon chunk of 2 100 rounds, long enough
+/// that the 4 096-span worker buffers evict too.
+fn overflow_digest(tag: &str) -> u64 {
+    let dir = std::env::temp_dir().join(format!("fj-digest-overflow-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut h = Fnv::new();
+
+    let telemetry = Telemetry::with_capacity(1_000);
+    telemetry.arm_flight_recorder("digest-scenario", &dir);
+    run_into(&telemetry, None);
+    hash_overflowed(&mut h, &telemetry);
+    assert!(telemetry.tracer().dropped() > 0, "the sink ring overflowed");
+
+    let telemetry = Telemetry::with_capacity(1_000);
+    telemetry.arm_flight_recorder("digest-long-chunk", &dir);
+    let mut fleet = build_fleet(&FleetConfig::census_of(1, 8));
+    let rounds: i64 = 2_100;
+    let outcome = collect_streaming(
+        &mut fleet,
+        SimInstant::EPOCH,
+        SimInstant::from_secs((rounds + 1) * 300),
+        SimDuration::from_mins(5),
+        vec![],
+        &[0],
+        &FaultPlan::new(0x6A9_0020).with_drop_rate(0.05),
+        &telemetry,
+        &StreamConfig {
+            shards: 2,
+            ..StreamConfig::default()
+        },
+    )
+    .expect("collection succeeds");
+    assert_eq!(
+        outcome.rounds_done, rounds as u64,
+        "one whole-horizon chunk"
+    );
+    let dumped = hash_overflowed(&mut h, &telemetry);
+    assert!(
+        dumped.len() == 1_000 && dumped[0] > 1_000,
+        "the recorder tripped after the ring overflowed"
+    );
+    // Every span is finished, so ids issued minus spans kept is what the
+    // sink ring evicted; the rest of `dropped()` the worker buffers did.
+    let spans = telemetry.tracer().spans();
+    let issued = spans.iter().map(|s| s.id).max().unwrap_or(0);
+    assert!(
+        telemetry.tracer().dropped() > issued - spans.len() as u64,
+        "worker buffers evicted spans too"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+    h.0
+}
+
+#[test]
+fn overflowing_rings_match_the_pinned_digest() {
+    let first = overflow_digest("a");
+    assert_eq!(first, overflow_digest("b"), "two runs hash the same");
+    assert_eq!(first, OVERFLOW_DIGEST, "overflow digest {first:#018x}");
 }

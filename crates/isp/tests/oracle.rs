@@ -66,7 +66,7 @@ fn oracle(fleet: &mut Fleet, mut events: Vec<ScheduledEvent>, plan: &FaultPlan) 
     let (start, end, step) = horizon();
     sort_events(&mut events);
     let mut fired = vec![false; events.len()];
-    let mut predictor = ModelPredictor::new(fj_router_sim::spec::truth_registry());
+    let mut predictor = ModelPredictor::new(fj_router_sim::spec::shared_truth_registry());
     let mut trace = FleetTrace {
         step,
         routers: fleet

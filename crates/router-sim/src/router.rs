@@ -182,6 +182,19 @@ impl SimulatedRouter {
         &self.spec
     }
 
+    /// Points this router at its model's shared builtin spec when its own
+    /// spec equals it. Deserializing gives every router a private copy;
+    /// this brings a loaded fleet back to one spec per model. A custom
+    /// spec keeps its own copy. The spec is equal either way, so nothing
+    /// observable changes.
+    pub fn share_builtin_spec(&mut self) {
+        if let Ok(builtin) = RouterSpec::builtin(&self.spec.model) {
+            if builtin == self.spec {
+                self.spec = builtin;
+            }
+        }
+    }
+
     /// Current simulated time.
     pub fn now(&self) -> SimInstant {
         self.now

@@ -92,6 +92,13 @@ fn cls(port: PortType, trx: TransceiverType, speed: Speed) -> InterfaceClass {
     InterfaceClass::new(port, trx, speed)
 }
 
+/// [`truth_registry`], built once per process and shared: every engine
+/// router's §6.2 predictor prices with this one.
+pub fn shared_truth_registry() -> Arc<ModelRegistry> {
+    static TRUTH: OnceLock<Arc<ModelRegistry>> = OnceLock::new();
+    Arc::clone(TRUTH.get_or_init(|| Arc::new(truth_registry())))
+}
+
 /// The ground-truth model registry for simulation: the eight published
 /// models (Tables 2 and 6) plus synthetic-but-plausible models for the
 /// other router models deployed in the Switch-like fleet (the paper has

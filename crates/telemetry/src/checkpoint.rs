@@ -263,7 +263,9 @@ mod tests {
             wall_start_us: 10,
             wall_end_us: 25,
         };
-        t.tracer().adopt(Some(root), 1, rec, Some(&"r0".into()));
+        let r0: std::sync::Arc<str> = "r0".into();
+        t.tracer()
+            .adopt_tail(Some(root), 1, [(1, rec, Some(&r0))].into_iter());
 
         let ckpt = t.checkpoint_state();
         let json = serde_json::to_string_pretty(&ckpt).expect("serializes");

@@ -265,6 +265,15 @@ impl Telemetry {
         });
     }
 
+    /// Whether a trip now would write a dump: the recorder is armed and
+    /// has not tripped yet.
+    pub fn flight_recorder_armed(&self) -> bool {
+        self.flightrec
+            .lock()
+            .as_ref()
+            .is_some_and(|r| r.dumped.is_none())
+    }
+
     /// The dump path, once the armed recorder has tripped.
     pub fn flight_recorder_path(&self) -> Option<PathBuf> {
         self.flightrec
@@ -385,8 +394,10 @@ mod tests {
         // Unarmed trips are strict no-ops: no dump, no event, no metric.
         assert!(t.trip_flight_recorder("unarmed", &[]).is_none());
         assert!(t.events().events().is_empty());
+        assert!(!t.flight_recorder_armed());
 
         t.arm_flight_recorder("unit", &dir);
+        assert!(t.flight_recorder_armed());
         t.set_now(SimInstant::from_secs(600));
         let poll = t.tracer().begin_span("snmp_poll", None, t.now());
         t.tracer().annotate(poll, "router", "7");
@@ -415,6 +426,7 @@ mod tests {
         assert_eq!(t.registry().counter_total("flightrec_dumps_total"), 1);
 
         // Trip-once: the second trip is a no-op.
+        assert!(!t.flight_recorder_armed());
         assert!(t.trip_flight_recorder("again", &[]).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }

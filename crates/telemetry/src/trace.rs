@@ -16,6 +16,10 @@
 //!   thread in the same deterministic `(round, router-index)` order as
 //!   `RoundRecord` replay, so the span *stream* (ids, parents, names,
 //!   lanes, sim stamps, fields) is bit-identical at any shard count.
+//!   Worker spans arrive in batches ([`TraceSink::adopt_tail`]): the
+//!   batch takes its ids by arithmetic and the ring evicts and counts as
+//!   span-by-span adoption would, but only the spans the ring keeps are
+//!   built, so a chunk's adoption costs O(ring capacity), not O(spans).
 //!   Wall-clock stamps are the one sanctioned nondeterminism — they come
 //!   from the audited [`WallEpoch`] seam and measure real elapsed time.
 //! * **Exporters** — Chrome/Perfetto `trace_event` JSON
@@ -174,10 +178,13 @@ impl StageTotals {
 
 /// A bounded per-worker span buffer keyed by an ordinal (the poll round).
 ///
-/// Workers push records in round order; the merge drains them back out in
-/// the same order via [`SpanBuffer::drain_through`]. When full, the
-/// *oldest* record is evicted and counted in [`SpanBuffer::dropped`] —
-/// recent history survives, which is what a flight-recorder dump wants.
+/// Workers push records in round order, so the retained records stay
+/// sorted by ordinal: the merge counts them by ordinal
+/// ([`SpanBuffer::count_before`]), reads one ordinal's records
+/// ([`SpanBuffer::round`]), and discards what it adopted
+/// ([`SpanBuffer::discard`]). When full, the *oldest* record is evicted
+/// and counted in [`SpanBuffer::dropped`] — recent history survives,
+/// which is what a flight-recorder dump wants.
 #[derive(Debug)]
 pub struct SpanBuffer {
     ring: VecDeque<(u64, SpanRecord)>,
@@ -231,15 +238,22 @@ impl SpanBuffer {
         &self.totals
     }
 
-    /// Drains retained records with ordinal ≤ `ordinal`, oldest first.
-    pub fn drain_through(&mut self, ordinal: u64) -> impl Iterator<Item = SpanRecord> + '_ {
-        std::iter::from_fn(move || {
-            if self.ring.front().is_some_and(|&(o, _)| o <= ordinal) {
-                self.ring.pop_front().map(|(_, r)| r)
-            } else {
-                None
-            }
-        })
+    /// Retained records with an ordinal below `ordinal`.
+    pub fn count_before(&self, ordinal: u64) -> usize {
+        self.ring.partition_point(|&(o, _)| o < ordinal)
+    }
+
+    /// The retained records pushed under `ordinal`, oldest first.
+    pub fn round(&self, ordinal: u64) -> impl DoubleEndedIterator<Item = &SpanRecord> + '_ {
+        let end = self.ring.partition_point(|&(o, _)| o <= ordinal);
+        self.ring
+            .range(self.count_before(ordinal)..end)
+            .map(|(_, r)| r)
+    }
+
+    /// Drops the oldest `count` retained records (all of them, if fewer).
+    pub fn discard(&mut self, count: usize) {
+        self.ring.drain(..count.min(self.ring.len()));
     }
 }
 
@@ -372,6 +386,11 @@ impl TraceSink {
         self.epoch
     }
 
+    /// How many finished spans the ring retains.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     /// Opens a span. The wall stamp is taken now; the sim stamp is the
     /// caller's (deterministic) sim clock.
     pub fn begin_span(
@@ -433,46 +452,69 @@ impl TraceSink {
         }
     }
 
-    /// Adopts a worker-recorded span into the causal tree: assigns the
-    /// next sequential id, parents it under `parent`, places it on
-    /// display lane `lane`, and tags it with `router` when given. The
-    /// label is shared, not copied, so adoption allocates nothing.
+    /// Adopts a batch of `total` worker-recorded spans into the causal
+    /// tree as `total` single adoptions would, under one lock: the batch
+    /// takes the next `total` sequential ids, each span is parented under
+    /// `parent`, placed on its display lane and tagged with its router
+    /// label (shared, not copied), and the ring evicts and counts exactly
+    /// what one-at-a-time adoption would have. Returns the batch's first
+    /// id.
+    ///
+    /// Only the spans the ring keeps are built, so `tail` holds just the
+    /// newest `min(total, capacity)` spans of the batch as `(lane, record,
+    /// router)`, in adoption order. Anything older in `tail` is skipped,
+    /// and spans a shorter `tail` leaves out count as adopted and evicted.
     ///
     /// Totals are *not* touched — the worker buffer's complete totals are
     /// folded in once via [`TraceSink::absorb_worker`], which also covers
     /// spans the bounded buffer already evicted.
-    pub fn adopt(
+    pub fn adopt_tail<'a>(
         &self,
         parent: Option<SpanId>,
-        lane: u32,
-        rec: SpanRecord,
-        router: Option<&Arc<str>>,
+        total: u64,
+        tail: impl ExactSizeIterator<Item = (u32, SpanRecord, Option<&'a Arc<str>>)>,
     ) -> u64 {
+        let keep = tail
+            .len()
+            .min(self.capacity)
+            .min(usize::try_from(total).unwrap_or(usize::MAX));
+        let kept = u64::try_from(keep).unwrap_or(u64::MAX);
+        let skip = tail.len() - keep;
         let evicted;
-        let id;
+        let first;
         {
             let mut state = self.state.lock();
-            id = state.next_id;
-            state.next_id += 1;
-            let span = Span {
-                id,
-                parent: parent.map_or(0, |p| p.raw),
-                parent_name: parent.map_or("", |p| p.name),
-                name: rec.name,
-                lane,
-                sim_start: rec.sim_start,
-                sim_end: rec.sim_end,
-                wall_start_us: rec.wall_start_us,
-                wall_end_us: rec.wall_end_us,
-                router: router.cloned(),
-                fields: Vec::new(),
-            };
-            evicted = push_finished(&mut state, self.capacity, span);
+            first = state.next_id;
+            state.next_id += total;
+            // Old spans leave first, so the kept ones always fit.
+            let room = (state.finished.len() + keep).saturating_sub(self.capacity);
+            state.finished.drain(..room);
+            let ids = first + (total - kept)..;
+            let spans = tail
+                .skip(skip)
+                .take(keep)
+                .zip(ids)
+                .map(|((lane, rec, router), id)| Span {
+                    id,
+                    parent: parent.map_or(0, |p| p.raw),
+                    parent_name: parent.map_or("", |p| p.name),
+                    name: rec.name,
+                    lane,
+                    sim_start: rec.sim_start,
+                    sim_end: rec.sim_end,
+                    wall_start_us: rec.wall_start_us,
+                    wall_end_us: rec.wall_end_us,
+                    router: router.cloned(),
+                    fields: Vec::new(),
+                });
+            state.finished.extend(spans);
+            evicted = total - kept + u64::try_from(room).unwrap_or(u64::MAX);
+            state.dropped += evicted;
         }
-        if evicted {
-            self.dropped_counter.inc();
+        if evicted > 0 {
+            self.dropped_counter.add(evicted);
         }
-        id
+        first
     }
 
     /// Folds a worker buffer's complete stage totals (and its drop count)
@@ -828,22 +870,44 @@ mod tests {
         let t = buf.totals().get("router_step").unwrap();
         assert_eq!(t.count, 5);
         assert_eq!(t.wall_us, 10);
-        // Only the retained (newest) ordinals drain.
-        let drained: Vec<_> = buf.drain_through(10).collect();
-        assert_eq!(drained.len(), 3);
+        // Only the retained (newest) ordinals are counted and viewed.
+        assert_eq!(buf.count_before(10), 3);
+        assert_eq!(buf.count_before(2), 0, "ordinals 0 and 1 were evicted");
+        assert_eq!(buf.round(1).count(), 0);
+        assert_eq!(
+            buf.round(4)
+                .map(|r| r.sim_start.as_secs())
+                .collect::<Vec<_>>(),
+            [4]
+        );
+        buf.discard(10);
         assert!(buf.is_empty());
     }
 
     #[test]
-    fn drain_through_respects_ordinals() {
+    fn buffer_counts_views_and_discards_by_ordinal() {
         let mut buf = SpanBuffer::new(16, 4);
         for i in 0..6u64 {
-            buf.push(i, rec("predict", 0, (0, 1)));
+            buf.push(i / 2, rec("predict", i as i64, (0, 1)));
         }
-        assert_eq!(buf.drain_through(2).count(), 3);
+        assert_eq!(buf.count_before(0), 0);
+        assert_eq!(buf.count_before(2), 4);
+        assert_eq!(buf.count_before(9), 6);
+        let secs = |buf: &SpanBuffer, o| {
+            buf.round(o)
+                .map(|r| r.sim_start.as_secs())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(secs(&buf, 1), [2, 3], "one ordinal's records, oldest first");
+        assert_eq!(
+            buf.round(1).next_back().map(|r| r.sim_start.as_secs()),
+            Some(3)
+        );
+        assert!(secs(&buf, 7).is_empty());
+        buf.discard(3);
         assert_eq!(buf.len(), 3);
-        assert_eq!(buf.drain_through(1).count(), 0, "older ordinals gone");
-        assert_eq!(buf.drain_through(5).count(), 3);
+        assert_eq!(secs(&buf, 1), [3], "the discarded prefix is gone");
+        assert_eq!(buf.count_before(2), 1);
     }
 
     #[test]
@@ -854,7 +918,11 @@ mod tests {
         sink.annotate(child, "router", "r0");
         sink.end_span(child, SimInstant::from_secs(5));
         let r2: Arc<str> = Arc::from("r2");
-        let adopted = sink.adopt(Some(root), 3, rec("snmp_poll", 5, (1, 4)), Some(&r2));
+        let adopted = sink.adopt_tail(
+            Some(root),
+            1,
+            [(3, rec("snmp_poll", 5, (1, 4)), Some(&r2))].into_iter(),
+        );
         sink.end_span(root, SimInstant::from_secs(5));
 
         assert_eq!(root.raw(), 1);
@@ -878,7 +946,7 @@ mod tests {
     fn sink_ring_evicts_and_counts() {
         let (sink, counter) = sink(2);
         for i in 0..4 {
-            sink.adopt(None, 0, rec("predict", i, (0, 1)), None);
+            sink.adopt_tail(None, 1, [(0, rec("predict", i, (0, 1)), None)].into_iter());
         }
         assert_eq!(sink.spans().len(), 2);
         assert_eq!(sink.dropped(), 2);
@@ -914,7 +982,11 @@ mod tests {
         let parent = sink.begin_span("fleet_collect", None, SimInstant::EPOCH);
         std::thread::sleep(std::time::Duration::from_millis(2));
         sink.end_span(parent, SimInstant::EPOCH);
-        sink.adopt(None, 0, rec("predict", 0, (0, 100)), None);
+        sink.adopt_tail(
+            None,
+            1,
+            [(0, rec("predict", 0, (0, 100)), None)].into_iter(),
+        );
         let profile = sink.profile();
         assert_eq!(profile[0].name, "fleet_collect", "heaviest first");
         // Adopted spans do not enter totals (absorb_worker owns that), so
@@ -929,12 +1001,9 @@ mod tests {
     fn trace_event_export_is_valid_json() {
         let (sink, _) = sink(64);
         let root = sink.begin_span("fleet_collect", None, SimInstant::EPOCH);
-        sink.adopt(
-            Some(root),
-            1,
-            rec("snmp_poll", 300, (10, 20)),
-            Some(&Arc::from("r0")),
-        );
+        let r0: Arc<str> = Arc::from("r0");
+        let span = (1, rec("snmp_poll", 300, (10, 20)), Some(&r0));
+        sink.adopt_tail(Some(root), 1, [span].into_iter());
         sink.end_span(root, SimInstant::from_secs(300));
         let still_open = sink.begin_span("fleet_merge", None, SimInstant::from_secs(300));
         let json = sink.to_trace_event_json();

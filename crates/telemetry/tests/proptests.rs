@@ -1,10 +1,11 @@
-//! Property-based tests for the histogram, the Prometheus renderer, and
-//! the deterministic/diagnostic registry split.
+//! Property-based tests for the histogram, the Prometheus renderer, the
+//! deterministic/diagnostic registry split, and bulk span adoption.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use fj_telemetry::render::{escape_label_value, to_prometheus_text, unescape_label_value};
-use fj_telemetry::{Histogram, HistogramSnapshot, Registry, SpanRecord, Telemetry};
+use fj_telemetry::{Histogram, HistogramSnapshot, Registry, Span, SpanRecord, Telemetry};
 use fj_units::SimInstant;
 use proptest::prelude::*;
 
@@ -33,7 +34,132 @@ fn register(r: &Registry, (name, labels): &(String, BTreeMap<String, String>), k
     }
 }
 
+/// Worker stage names a generated span may carry.
+const STAGES: [&str; 4] = ["snmp_poll", "autopower_frame", "predict", "router_step"];
+
+/// One generated worker span: stage, sim start and length, wall start
+/// and length, lane, and router label (index into the labels, or none).
+type GenSpan = (usize, i64, i64, u64, u64, u32, Option<usize>);
+
+fn gen_spans(max: usize) -> impl Strategy<Value = Vec<GenSpan>> {
+    prop::collection::vec(
+        (
+            0..STAGES.len(),
+            0i64..1_000_000,
+            0i64..600,
+            0u64..1 << 40,
+            0u64..10_000,
+            0u32..64,
+            prop::option::of(0usize..3),
+        ),
+        0..=max,
+    )
+}
+
+/// A sink capacity, a prefill of up to twice it, and batches of up to
+/// five times it, each adopted with or without a parent.
+fn adoption_case() -> impl Strategy<Value = (usize, usize, Vec<(Vec<GenSpan>, bool)>)> {
+    (1usize..=64).prop_flat_map(|capacity| {
+        let batch = (gen_spans(5 * capacity), any::<bool>());
+        (
+            Just(capacity),
+            0..=2 * capacity,
+            prop::collection::vec(batch, 0..5),
+        )
+    })
+}
+
+/// A generated span as the worker recorded it, with its lane and label.
+fn worker_span<'a>(g: &GenSpan, labels: &'a [Arc<str>]) -> (u32, SpanRecord, Option<&'a Arc<str>>) {
+    let &(stage, sim, sim_len, wall, wall_len, lane, label) = g;
+    let rec = SpanRecord {
+        name: STAGES[stage],
+        sim_start: SimInstant::from_secs(sim),
+        sim_end: SimInstant::from_secs(sim + sim_len),
+        wall_start_us: wall,
+        wall_end_us: wall + wall_len,
+    };
+    (lane, rec, label.map(|i| &labels[i]))
+}
+
+/// The sink's contract, naively: a ring that adopts one span at a time,
+/// evicting and counting its oldest span when full.
+struct NaiveRing {
+    capacity: usize,
+    spans: VecDeque<Span>,
+    next_id: u64,
+    dropped: u64,
+}
+
+impl NaiveRing {
+    fn adopt(&mut self, parent: (u64, &'static str), span: (u32, SpanRecord, Option<&Arc<str>>)) {
+        let (lane, rec, router) = span;
+        self.spans.push_back(Span {
+            id: self.next_id,
+            parent: parent.0,
+            parent_name: parent.1,
+            name: rec.name,
+            lane,
+            sim_start: rec.sim_start,
+            sim_end: rec.sim_end,
+            wall_start_us: rec.wall_start_us,
+            wall_end_us: rec.wall_end_us,
+            router: router.cloned(),
+            fields: Vec::new(),
+        });
+        self.next_id += 1;
+        if self.spans.len() > self.capacity {
+            self.spans.pop_front();
+            self.dropped += 1;
+        }
+    }
+}
+
 proptest! {
+    /// Bulk adoption given only each batch's newest `min(total,
+    /// capacity)` spans leaves the sink exactly as adopting every span
+    /// one at a time would: the same retained spans (ids, parents, lanes,
+    /// stamps, labels), drop count, `spans_dropped_total`, and next id.
+    #[test]
+    fn bulk_adoption_matches_one_at_a_time((capacity, prefill, batches) in adoption_case()) {
+        let t = Telemetry::with_capacity(capacity);
+        let sink = t.tracer();
+        let labels: Vec<Arc<str>> = ["r0", "r1", "pop07-r2"].map(Arc::from).to_vec();
+        // Prefill with orchestrator spans; their wall stamps are real, so
+        // the model starts from what the sink kept.
+        for i in 0..prefill {
+            let id = sink.begin_span("fleet_merge", None, SimInstant::from_secs(i as i64));
+            sink.end_span(id, SimInstant::from_secs(i as i64));
+        }
+        let root = sink.begin_span("fleet_collect", None, SimInstant::EPOCH);
+        let mut model = NaiveRing {
+            capacity,
+            spans: sink.spans().into(),
+            next_id: root.raw() + 1,
+            dropped: prefill.saturating_sub(capacity) as u64,
+        };
+        prop_assert_eq!(model.spans.len(), prefill.min(capacity));
+        for (batch, parented) in &batches {
+            let parent = parented.then_some(root);
+            let model_parent = parent.map_or((0, ""), |p| (p.raw(), p.name()));
+            for g in batch {
+                model.adopt(model_parent, worker_span(g, &labels));
+            }
+            let tail = &batch[batch.len() - batch.len().min(capacity)..];
+            let first = sink.adopt_tail(
+                parent,
+                batch.len() as u64,
+                tail.iter().map(|g| worker_span(g, &labels)),
+            );
+            prop_assert_eq!(first, model.next_id - batch.len() as u64);
+        }
+        prop_assert_eq!(sink.spans(), Vec::from(model.spans));
+        prop_assert_eq!(sink.dropped(), model.dropped);
+        prop_assert_eq!(t.registry().counter_total("spans_dropped_total"), model.dropped);
+        let next = sink.begin_span("fleet_checkpoint", None, SimInstant::EPOCH);
+        prop_assert_eq!(next.raw(), model.next_id);
+    }
+
     /// Splitting distinct series across the two registries changes
     /// nothing an operator sees: the merged rendering equals one registry
     /// holding every series, and the deterministic rendering holds
