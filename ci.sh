@@ -31,26 +31,51 @@ cargo test --workspace -q
 echo "==> benchmark build (ledgerbench is its own workspace; test --workspace skips it)"
 cargo build --release --offline --manifest-path ledgerbench/Cargo.toml
 
-echo "==> benchmark output checks (both workloads untraced: correct, no failed operation)"
+# metric NAME LINE: the value of metric NAME (a sed regex) on a result line.
+metric() { echo "$2" | sed -n "s/.*\"$1\": {\"value\": \([^,}]*\).*/\1/p"; }
+
+echo "==> benchmark output checks (both workloads untraced: correct, no failed operation; census_stream >= 100,000 router-rounds/s)"
 for workload in census_stream switch_sleep; do
     result=$(cargo run -q --release --offline --manifest-path ledgerbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)
     echo "$workload: ${result:0:80}"
     echo "$result" | grep -q '^{"correct": true, "attempted": [0-9]*, "failed": 0,' \
         || { echo "$workload failed its output checks" >&2; exit 1; }
+    # A floor that catches a collapsed engine (a serialized pool, a
+    # quadratic merge): about 40 % of the ~244k router-rounds/s the
+    # 1,000-router census made at 2 shards on a 1-core host.
+    if [[ "$workload" == census_stream ]]; then
+        rate=$(metric 'work_per_s' "$result")
+        echo "census_stream work_per_s=$rate"
+        awk -v r="$rate" 'BEGIN { exit !(r != "" && r >= 100000) }' \
+            || { echo "census_stream fell below 100,000 router-rounds/s" >&2; exit 1; }
+    fi
 done
 
-echo "==> allocation budget (traced census_stream: <= 0.5 allocations per router-round, exact replays)"
+echo "==> allocation and parallel budgets (traced census_stream: <= 0.5 allocations per router-round, exact replays, dispatch wait <= 0.25 s, merge fraction <= 0.35, efficiency >= 0.6)"
 ledger=$(cargo run -q --release --offline --manifest-path ledgerbench/Cargo.toml -- \
     --workload census_stream --seed 1 --trace 1 | tail -n 1)
-metric() { echo "$ledger" | sed -n "s/.*\"$1\": {\"value\": \([^,}]*\).*/\1/p"; }
-allocs=$(metric 'isp\.engine\.allocs_per_rr')
-mismatches=$(metric 'bench\.replay\.mismatches')
-ops_mismatches=$(metric 'ops\.bench\.replay\.mismatches')
+allocs=$(metric 'isp\.engine\.allocs_per_rr' "$ledger")
+mismatches=$(metric 'bench\.replay\.mismatches' "$ledger")
+ops_mismatches=$(metric 'ops\.bench\.replay\.mismatches' "$ledger")
+dispatch=$(metric 'par\.dispatch_wait\.s' "$ledger")
+merge=$(metric 'isp\.engine\.merge_fraction' "$ledger")
+efficiency=$(metric 'par\.efficiency' "$ledger")
 echo "isp.engine.allocs_per_rr=$allocs bench.replay.mismatches=$mismatches ops.bench.replay.mismatches=$ops_mismatches"
+echo "par.dispatch_wait.s=$dispatch isp.engine.merge_fraction=$merge par.efficiency=$efficiency"
 awk -v a="$allocs" -v m="$mismatches" -v o="$ops_mismatches" \
     'BEGIN { exit !(a != "" && m != "" && o != "" && a <= 0.5 && m == 0 && o == 0) }' \
     || { echo "allocation budget exceeded or replay diverged" >&2; exit 1; }
+awk -v w="$dispatch" -v f="$merge" 'BEGIN { exit !(w != "" && f != "" && w <= 0.25 && f <= 0.35) }' \
+    || { echo "dispatch wait or merge fraction over budget" >&2; exit 1; }
+# One core runs the 2-shard pool inline, so busy time fills only half
+# of wall x shards there: the floor measures the pool on >= 2 cores.
+if [[ "$(nproc)" -le 1 ]]; then
+    echo "efficiency floor skipped: single-core host"
+else
+    awk -v e="$efficiency" 'BEGIN { exit !(e != "" && e >= 0.6) }' \
+        || { echo "parallel efficiency below 0.6" >&2; exit 1; }
+fi
 
 echo "==> cargo doc (warnings, broken and private intra-doc links are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
@@ -61,7 +86,7 @@ cargo run -q -p fj-bench --bin telemetry_smoke
 echo "==> alert smoke (default pack parses; seeded faults must fire)"
 cargo run -q --release -p fj-bench --bin alert_smoke
 
-echo "==> crash-recovery smoke (kill mid-run, resume, diff vs uninterrupted)"
+echo "==> crash-recovery smoke (kill mid-run, resume, diff vs uninterrupted; exports the baseline's Perfetto trace)"
 cargo run -q --release -p fj-bench --bin fleet_recover -- \
     --dir target/telemetry/recovery
 
@@ -70,27 +95,6 @@ for bin in exp_sec8_link_sleeping exp_ext_combined_savings exp_table6_additional
     exp_fig1_network exp_fig4_validation; do
     cargo run -q --release -p fj-bench --bin "$bin"
 done
-
-echo "==> fleet throughput smoke (asserts shard-count determinism + dispatch-wait budget)"
-# The ≥2-shard cells run on the persistent worker pool: cumulative
-# dispatch wait (jobs queued behind busy workers) must stay under a
-# fixed per-run budget. bench_fleet skips the budget with a note on
-# single-core hosts, where one worker queues shards by construction.
-cargo run -q --release -p fj-bench --bin bench_fleet -- --smoke --json \
-    --max-dispatch-wait-secs 0.25 \
-    --out target/telemetry/BENCH_fleet.json \
-    --trace target/telemetry/trace-fleet.json
-
-echo "==> efficiency report (profiler + progress plane must have produced output)"
-grep -q '"efficiency"' target/telemetry/BENCH_fleet.json \
-    || { echo "BENCH_fleet.json carries no parallel-efficiency report" >&2; exit 1; }
-grep -q '"generated_by"' target/telemetry/BENCH_fleet.json \
-    || { echo "BENCH_fleet.json carries no generated_by provenance" >&2; exit 1; }
-test -s target/telemetry/progress-bench_fleet.json \
-    || { echo "progress-bench_fleet.json missing or empty" >&2; exit 1; }
-
-echo "==> perf gate (fresh smoke sweep vs committed BENCH_fleet.json)"
-cargo run -q --release -p fj-bench --bin bench_compare
 
 if [[ "${CI_SOAK:-0}" == "1" ]]; then
     echo "==> chaos soak (full)"

@@ -8,8 +8,9 @@
 //! Thresholds are chosen so a healthy deterministic run stays silent:
 //! the gap-rate and prediction-error budgets tolerate the background
 //! fault rates the chaos scenarios inject, the dispatch-wait budget
-//! matches the `bench_fleet --max-dispatch-wait-secs` CI gate, and the
-//! stall horizon is a full sim day of chunk boundaries.
+//! matches the bound CI holds the traced census_stream benchmark run's
+//! `par.dispatch_wait.s` to, and the stall horizon is a full sim day of
+//! chunk boundaries.
 
 use fj_units::SimDuration;
 
@@ -27,8 +28,9 @@ pub const PREDICTION_BUDGET: f64 = 0.05;
 /// pace.
 pub const BURN_FACTOR: f64 = 2.0;
 
-/// Cumulative pool dispatch wait tolerated per run, matching the
-/// `bench_fleet` CI budget.
+/// Cumulative pool dispatch wait tolerated per run, matching the CI
+/// budget on the traced census_stream benchmark run's
+/// `par.dispatch_wait.s`.
 pub const DISPATCH_WAIT_BUDGET_SECS: f64 = 0.25;
 
 /// The default rule pack evaluated by fleet runs, experiment banners,

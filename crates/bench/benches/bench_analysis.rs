@@ -10,7 +10,7 @@ use fj_isp::{build_fleet, stats::psu_snapshot, FleetConfig, FleetInsights};
 use fj_psu::{right_sizing_savings, uplift_savings, EightyPlus};
 use fj_units::{percentile, Sample, SimDuration, SimInstant, SortedView, TimeSeries};
 
-fn bench_fleet(c: &mut Criterion) {
+fn bench_isp(c: &mut Criterion) {
     let fleet = build_fleet(&FleetConfig::small(7));
     c.bench_function("fleet_small_build", |b| {
         b.iter(|| black_box(build_fleet(&FleetConfig::small(7))));
@@ -133,5 +133,5 @@ fn bench_kernels(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_fleet, bench_hypnos, bench_psu, bench_kernels);
+criterion_group!(benches, bench_isp, bench_hypnos, bench_psu, bench_kernels);
 criterion_main!(benches);

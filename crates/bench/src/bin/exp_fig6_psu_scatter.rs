@@ -52,14 +52,17 @@ fn main() {
     println!("\nfleet-wide: median load {load_med:.1} %, efficiency {eff_min:.1}–{eff_max:.1} %");
     println!("paper:      loads 10–20 %, efficiency < 70 % to > 95 %");
 
+    // Looser than the paper's ≤ 76 %; the line prints both.
+    const C8201_MAX: f64 = 80.0;
     let ncs_med = model_median(&snapshot, "NCS-55A1-24H");
     let c8201_med = model_median(&snapshot, "8201-32FH");
     let asr_spread = model_spread(&snapshot, "ASR-920-24SZ-M");
     println!(
         "\nper-model shapes: NCS median {ncs_med:.1} % (paper: ≥85 %), \
-         8201 median {c8201_med:.1} % (paper: ≤76 %), ASR-920 spread {asr_spread:.1} pp"
+         8201 median {c8201_med:.1} % (paper: ≤76 %, checked: <{C8201_MAX:.0} %), \
+         ASR-920 spread {asr_spread:.1} pp"
     );
-    let ok = ncs_med > 85.0 && c8201_med < 80.0 && asr_spread > 20.0;
+    let ok = ncs_med > 85.0 && c8201_med < C8201_MAX && asr_spread > 20.0;
     println!("shape: {}", if ok { "ok" } else { "drift" });
 }
 

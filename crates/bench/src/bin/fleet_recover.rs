@@ -16,11 +16,16 @@
 //! 4. diff the resumed trace against the baseline — any divergence is a
 //!    determinism-contract violation and fails the gate.
 //!
+//! The baseline run also prints its self-time profile per stage and
+//! exports its causal span trace as Chrome `trace_event` JSON
+//! (`trace-fleet.json` in the artifact directory), which Perfetto and
+//! chrome://tracing load.
+//!
 //! Flags:
 //!
 //! * `--dir PATH` — artifact directory (default:
-//!   `target/telemetry/recovery`); checkpoints and the flightrec dump
-//!   land here and are uploaded by the workflow.
+//!   `target/telemetry/recovery`); checkpoints, the span trace and the
+//!   flightrec dump land here and are uploaded by the workflow.
 //!
 //! Exit codes: 0 pass, 1 contract violation, 2 usage/setup failure.
 
@@ -118,6 +123,20 @@ fn main() -> ExitCode {
     println!(
         "baseline: {} rounds, {} missed polls",
         baseline.rounds_done, baseline.trace.missed_polls
+    );
+    println!("\n--- self-time profile (baseline run) ---");
+    print!("{}", base_tel.tracer().render_profile());
+    let trace_path = dir.join("trace-fleet.json");
+    if let Err(e) = base_tel.write_trace(&trace_path) {
+        eprintln!(
+            "fleet_recover: writing {} failed: {e}",
+            trace_path.display()
+        );
+        return ExitCode::from(2);
+    }
+    println!(
+        "trace: {} (load in Perfetto / chrome://tracing)",
+        trace_path.display()
     );
 
     // 2. "Kill" the same scenario mid-run.

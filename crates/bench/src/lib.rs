@@ -12,7 +12,6 @@
 //! ```
 
 pub mod derive_report;
-pub mod fleetbench;
 pub mod paper;
 pub mod table;
 

@@ -77,9 +77,8 @@ impl FleetConfig {
 
     /// The census mix scaled to an arbitrary router count: every model
     /// multiplied by `routers / 107` (the Switch mix size), remainder
-    /// on the access workhorse. Powers the 10k/50k-router cells of the
-    /// fleet bench sweep; `routers` below the base mix collapses onto
-    /// the workhorse alone.
+    /// on the access workhorse; `routers` below the base mix collapses
+    /// onto the workhorse alone.
     pub fn census_of(seed: u64, routers: usize) -> Self {
         let mut cfg = Self::switch_like(seed);
         // 230 PoPs per 1 000 routers, the census density; scaled fleets

@@ -47,7 +47,7 @@
 //! The engine holds at most two chunks of records at a time — the one
 //! being merged and the one being simulated — so peak record memory is
 //! `O(routers × 2 × chunk_rounds)` instead of `O(routers × horizon)`
-//! ([`estimated_peak_record_bytes`]).
+//! ([`RunProgress::est_peak_record_bytes`]).
 //!
 //! # Checkpoints and crash recovery
 //!
@@ -280,9 +280,8 @@ const SPAN_NAMES: &[&str] = &[
 /// sizeof(RoundRecord)`. For the chunked engine `rounds_in_flight` is
 /// two chunks — the one being merged and the one being simulated —
 /// capped at the total round count, which is also the whole-horizon
-/// value. (Bench reports use this to show the O(routers × chunk) memory
-/// bound.)
-pub fn estimated_peak_record_bytes(routers: usize, rounds_in_flight: u64) -> u64 {
+/// value.
+fn estimated_peak_record_bytes(routers: usize, rounds_in_flight: u64) -> u64 {
     let per_round = u64::try_from(std::mem::size_of::<RoundRecord>()).unwrap_or(u64::MAX);
     u64::try_from(routers)
         .unwrap_or(u64::MAX)
@@ -367,11 +366,6 @@ pub struct StreamConfig {
     /// the deterministic registry (enforced by
     /// `tests/profiler_fj01.rs`).
     pub profile: bool,
-    /// Additionally mirror each progress snapshot to this file with an
-    /// atomic tmp+rename write (conventionally
-    /// `target/telemetry/progress-<exp>.json`), so a long run can be
-    /// watched from outside the process. Requires [`StreamConfig::profile`].
-    pub progress_path: Option<PathBuf>,
     /// Evaluate a declarative alert rule pack ([`fj_alerts`]) at every
     /// epoch-chunk boundary, in sim time. The verdict stream — firing
     /// and resolved transitions with sim timestamps — is part of the
@@ -884,10 +878,6 @@ impl RunProfiler {
             self.acc
                 .record_merge_overlap(workers_end.min(m1).saturating_sub(m0));
         }
-        // The per-worker spawn wait *is* the dispatch queue wait (channel
-        // send + queueing behind earlier shards on the same worker); an
-        // inline pool's first shard never waits.
-        self.acc.record_pool_dispatch_wait(stats.spawn_wait_us());
         for w in &stats.workers {
             self.shard_busy.observe(w.busy_us as f64 / 1e6);
         }
@@ -1584,14 +1574,6 @@ impl<'a> StreamEngine<'a> {
                 self.checkpoints_written,
                 self.restarts,
             ));
-            if let Some(path) = &config.progress_path {
-                if let Err(e) = telemetry.write_progress_json(path) {
-                    // A failed progress write degrades observability, not
-                    // correctness; capture context if the recorder is armed.
-                    let _ = telemetry
-                        .trip_flight_recorder("progress write failed", &[("error", e.to_string())]);
-                }
-            }
         }
         match (&config.checkpoints, snapshot) {
             (Some(ckpt_cfg), Some(routers)) if self.round < self.rounds_total => {

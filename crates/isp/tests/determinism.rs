@@ -52,49 +52,63 @@ fn scenario() -> (Fleet, Vec<ScheduledEvent>, FaultPlan) {
     (fleet, events, plan)
 }
 
-/// The scenario through the default config: one whole-horizon chunk.
-fn run(shards: usize) -> (FleetTrace, Arc<Telemetry>) {
+/// The scenario at `shards` in `chunk_rounds`-round chunks; 0 runs the
+/// whole horizon as one chunk. At 96 rounds per chunk the 2016-round
+/// week splits into 21 chunks, none aligned to event days, so every
+/// chunk boundary crosses the pipelined prefetch path: while the caller
+/// merges chunk N, the pool is already simulating chunk N+1.
+fn run(shards: usize, chunk_rounds: u64) -> (FleetTrace, Arc<Telemetry>) {
     let (mut fleet, events, plan) = scenario();
-    let telemetry = Telemetry::with_capacity(1 << 16);
-    let trace = collect_streaming(
-        &mut fleet,
-        SimInstant::EPOCH,
-        SimInstant::from_days(7),
-        SimDuration::from_mins(5),
-        events,
-        &[0, 3],
-        &plan,
-        &telemetry,
-        &StreamConfig {
-            shards,
-            ..StreamConfig::default()
-        },
-    )
-    .expect("collection succeeds")
-    .trace;
-    (trace, telemetry)
+    collect(&mut fleet, 7, events, &[0, 3], &plan, shards, chunk_rounds)
 }
 
-/// The same scenario through the streaming engine's persistent worker
-/// pool with a mid-horizon chunk size, so every chunk boundary crosses
-/// the pipelined prefetch path: while the caller merges chunk N, the
-/// pool is already simulating chunk N+1. 96 rounds per chunk over a
-/// 2016-round week gives 21 chunks, none aligned to event days.
-fn run_chunked(shards: usize) -> (FleetTrace, Arc<Telemetry>) {
-    let (mut fleet, events, plan) = scenario();
+/// The 1,000-router census over a day in 96-round chunks: three chunks
+/// whose shards each hold hundreds of routers, with 5 % drops and an
+/// event on router 500 (first of a shard at 2 and 4 shards) and on the
+/// last router.
+fn run_census(shards: usize) -> (FleetTrace, Arc<Telemetry>) {
+    let mut fleet = build_fleet(&FleetConfig::census(7));
+    let iface = fleet.routers[500].plan[0].index;
+    let events = vec![
+        ScheduledEvent {
+            at: SimInstant::from_secs(6 * 3600),
+            kind: EventKind::AdminDown { router: 500, iface },
+        },
+        ScheduledEvent {
+            at: SimInstant::from_secs(12 * 3600),
+            kind: EventKind::OsUpdate {
+                router: 999,
+                version: "7.11.2".into(),
+                delta: Watts::new(45.0),
+            },
+        },
+    ];
+    let plan = FaultPlan::new(0x6A9_0005).with_drop_rate(0.05);
+    collect(&mut fleet, 1, events, &[], &plan, shards, 96)
+}
+
+fn collect(
+    fleet: &mut Fleet,
+    days: i64,
+    events: Vec<ScheduledEvent>,
+    instrumented: &[usize],
+    plan: &FaultPlan,
+    shards: usize,
+    chunk_rounds: u64,
+) -> (FleetTrace, Arc<Telemetry>) {
     let telemetry = Telemetry::with_capacity(1 << 16);
     let outcome = collect_streaming(
-        &mut fleet,
+        fleet,
         SimInstant::EPOCH,
-        SimInstant::from_days(7),
+        SimInstant::from_days(days),
         SimDuration::from_mins(5),
         events,
-        &[0, 3],
-        &plan,
+        instrumented,
+        plan,
         &telemetry,
         &StreamConfig {
             shards,
-            chunk_rounds: 96,
+            chunk_rounds,
             ..StreamConfig::default()
         },
     )
@@ -106,9 +120,43 @@ fn run_chunked(shards: usize) -> (FleetTrace, Arc<Telemetry>) {
 /// The engine's only always-on diagnostic series: host wall-clock timing.
 const WALL_SERIES: [&str; 1] = ["fleet_poll_round_duration_seconds"];
 
+/// Runs `run` sequentially and at each of `shards`, asserting that the
+/// trace, the event log, the deterministic registry and the span stream
+/// match the sequential run's; returns the sequential run.
+fn assert_shard_invariant(
+    run: impl Fn(usize) -> (FleetTrace, Arc<Telemetry>),
+    shards: &[usize],
+) -> (FleetTrace, Arc<Telemetry>) {
+    let (seq_trace, seq_tel) = run(1);
+    for &n in shards {
+        let (par_trace, par_tel) = run(n);
+        assert_eq!(
+            seq_trace, par_trace,
+            "{n}-shard trace diverged from sequential"
+        );
+        assert_eq!(
+            seq_tel.events().events(),
+            par_tel.events().events(),
+            "{n}-shard event log diverged from sequential"
+        );
+        assert_eq!(
+            deterministic_prometheus(&seq_tel),
+            deterministic_prometheus(&par_tel),
+            "{n}-shard metric snapshot diverged from sequential"
+        );
+        assert_eq!(
+            stable_spans(&seq_tel),
+            stable_spans(&par_tel),
+            "{n}-shard span stream diverged from sequential"
+        );
+        assert_diagnostic_split(&par_tel, &WALL_SERIES);
+    }
+    (seq_trace, seq_tel)
+}
+
 #[test]
 fn shard_count_never_changes_results() {
-    let (seq_trace, seq_tel) = run(1);
+    let (seq_trace, seq_tel) = assert_shard_invariant(|n| run(n, 0), &[2, 3, 4, 8]);
 
     // The scenario actually exercised the interesting paths.
     assert!(seq_trace.missed_polls > 0, "drops occurred");
@@ -117,43 +165,15 @@ fn shard_count_never_changes_results() {
         "fleet total had unknowable rounds"
     );
     assert!(!seq_tel.events().events().is_empty(), "events were emitted");
-
     assert!(
         !seq_tel.tracer().spans().is_empty(),
         "causal spans were recorded"
     );
-
-    for shards in [2, 3, 4, 8] {
-        let (par_trace, par_tel) = run(shards);
-        assert_eq!(
-            seq_trace, par_trace,
-            "{shards}-shard trace diverged from sequential"
-        );
-        assert_eq!(
-            seq_tel.events().events(),
-            par_tel.events().events(),
-            "{shards}-shard event log diverged from sequential"
-        );
-        assert_eq!(
-            deterministic_prometheus(&seq_tel),
-            deterministic_prometheus(&par_tel),
-            "{shards}-shard metric snapshot diverged from sequential"
-        );
-        assert_eq!(
-            stable_spans(&seq_tel),
-            stable_spans(&par_tel),
-            "{shards}-shard span stream diverged from sequential"
-        );
-        assert_diagnostic_split(&par_tel, &WALL_SERIES);
-    }
 }
 
 #[test]
 fn shard_count_beyond_fleet_size_is_fine() {
-    let (seq_trace, seq_tel) = run(1);
-    let (par_trace, par_tel) = run(1024);
-    assert_eq!(seq_trace, par_trace);
-    assert_eq!(stable_spans(&seq_tel), stable_spans(&par_tel));
+    assert_shard_invariant(|n| run(n, 0), &[1024]);
 }
 
 /// FJ01 on the pool path: the chunked streaming engine — persistent
@@ -162,37 +182,22 @@ fn shard_count_beyond_fleet_size_is_fine() {
 /// shard count, including the 1024-shard placement-stress case.
 #[test]
 fn pool_path_chunking_never_changes_results() {
-    let (seq_trace, seq_tel) = run_chunked(1);
+    let (seq_trace, _) = assert_shard_invariant(|n| run(n, 96), &[2, 4, 8, 1024]);
 
     // Chunking itself must not change the physics either: the chunked
     // sequential trace equals the whole-horizon sequential trace.
-    let (whole_trace, _) = run(1);
+    let (whole_trace, _) = run(1, 0);
     assert_eq!(
         seq_trace, whole_trace,
         "chunked trace diverged from the whole-horizon engine"
     );
+}
 
-    for shards in [2, 4, 8, 1024] {
-        let (par_trace, par_tel) = run_chunked(shards);
-        assert_eq!(
-            seq_trace, par_trace,
-            "{shards}-shard pooled trace diverged from sequential"
-        );
-        assert_eq!(
-            seq_tel.events().events(),
-            par_tel.events().events(),
-            "{shards}-shard pooled event log diverged from sequential"
-        );
-        assert_eq!(
-            deterministic_prometheus(&seq_tel),
-            deterministic_prometheus(&par_tel),
-            "{shards}-shard pooled metric snapshot diverged from sequential"
-        );
-        assert_eq!(
-            stable_spans(&seq_tel),
-            stable_spans(&par_tel),
-            "{shards}-shard pooled span stream diverged from sequential"
-        );
-        assert_diagnostic_split(&par_tel, &WALL_SERIES);
-    }
+/// FJ01 at census scale, where each shard's slice of a chunk is
+/// hundreds of routers wide rather than a handful.
+#[test]
+fn census_scale_sharding_never_changes_results() {
+    let (seq_trace, _) = assert_shard_invariant(run_census, &[2, 4]);
+    assert_eq!(seq_trace.routers.len(), 1000);
+    assert!(seq_trace.missed_polls > 0, "drops occurred");
 }

@@ -138,9 +138,7 @@ fn profiler_adds_nothing_to_the_deterministic_surface() {
         let wait = report
             .pool_dispatch_wait_secs
             .expect("fresh report carries dispatch wait");
-        let overlap = report
-            .merge_overlap_secs
-            .expect("fresh report carries merge overlap");
+        let overlap = report.merge_overlap_secs;
         let fraction = report
             .merge_overlap_fraction
             .expect("fresh report carries overlap fraction");

@@ -337,9 +337,9 @@ mod tests {
             ),
             ("crates/lint/src/main.rs", "lint", "main"),
             (
-                "crates/bench/src/bin/bench_fleet.rs",
+                "crates/bench/src/bin/fleet_recover.rs",
                 "bench",
-                "bin::bench_fleet",
+                "bin::fleet_recover",
             ),
             (
                 "crates/isp/tests/determinism.rs",

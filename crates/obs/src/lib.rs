@@ -1,20 +1,18 @@
 //! `fj-obs` — runtime profiling for the sharded streaming engine.
 //!
-//! The committed `BENCH_fleet.json` baseline shows 2-shard speedup of
-//! ~0.95×, and before this crate nothing in the workspace could say
-//! *why*: merge serialization, worker idle time, or checkpoint stalls
-//! at chunk boundaries. `fj-obs` turns the raw per-shard timings that
-//! [`fj_par::WorkerPool::submit`] stamps (plus the engine's measured
-//! serial merge time) into a [`ParallelEfficiencyReport`] — the
-//! quantities the ROADMAP's "make parallelism actually pay" item needs
-//! before any 1k/10k/50k scaling work touches the engine.
+//! A sharded run's wall time alone cannot say *why* parallelism does
+//! or does not pay: merge serialization, worker idle time, or
+//! checkpoint stalls at chunk boundaries. `fj-obs` turns the raw
+//! per-shard timings that [`fj_par::WorkerPool::submit`] stamps (plus
+//! the engine's measured serial merge time) into a
+//! [`ParallelEfficiencyReport`].
 //!
 //! Everything here is wall-clock-derived and therefore lives **off** the
-//! FJ01 deterministic surface: reports ride in `StreamOutcome` /
-//! `BENCH_fleet.json` side channels, never in traces, events, or the
-//! deterministic metric registry (see DESIGN.md "Runtime profiling &
-//! live progress" for the exclusion rationale, and
-//! `crates/isp/tests/profiler_fj01.rs` for the enforcement).
+//! FJ01 deterministic surface: reports ride in the `StreamOutcome` side
+//! channel, never in traces, events, or the deterministic metric
+//! registry (see DESIGN.md "Runtime profiling & live progress" for the
+//! exclusion rationale, and `crates/isp/tests/profiler_fj01.rs` for the
+//! enforcement).
 //!
 //! The accounting identity this crate leans on, pinned down by the
 //! proptests in `tests/proptests.rs`: for every shard of a dispatch,
@@ -23,7 +21,6 @@
 //! in `[0, 1]` whenever workers get their own cores.
 
 use fj_par::ShardStats;
-use serde::{Deserialize, Serialize};
 
 const US_PER_SEC: f64 = 1_000_000.0;
 
@@ -33,7 +30,7 @@ const US_PER_SEC: f64 = 1_000_000.0;
 /// All durations are wall-clock seconds as sampled through the audited
 /// `WallEpoch` seam; none of these numbers are deterministic and none
 /// may feed back into simulation results.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParallelEfficiencyReport {
     /// Largest worker count observed in any chunk (≥ 1).
     pub shards: usize,
@@ -53,18 +50,19 @@ pub struct ParallelEfficiencyReport {
     pub spawn_wait_secs: f64,
     /// Σ worker join wait (worker end → call return).
     pub join_wait_secs: f64,
-    /// Σ pool dispatch wait: the time between a chunk's dispatch and
-    /// each shard's first item (channel send + queueing behind earlier
-    /// shards on the same worker). Zero for one-shard inline runs.
-    /// `Option` so baselines recorded before the pool existed still
-    /// parse (`None`).
+    /// Σ pool dispatch wait: the time workers sat idle while a chunk
+    /// had work for them ([`ShardStats::dispatch_wait_us`]). Shards
+    /// queued behind a sibling on a busy worker add nothing, and inline
+    /// runs read zero. Always `Some`; an `Option` because ledgerbench
+    /// reads it through `.unwrap_or(0.0)`.
     pub pool_dispatch_wait_secs: Option<f64>,
     /// Σ merge time that overlapped the *next* chunk's simulation — the
     /// pipelining win. Zero when the merge never overlaps (inline pools,
-    /// single-chunk runs); `None` on pre-pool baselines.
-    pub merge_overlap_secs: Option<f64>,
+    /// single-chunk runs).
+    pub merge_overlap_secs: f64,
     /// merge_overlap / merge: the fraction of the serial merge hidden
-    /// behind pool workers, in `[0, 1]`; `None` on pre-pool baselines.
+    /// behind pool workers, in `[0, 1]`. Always `Some`; an `Option`
+    /// because ledgerbench reads it through `.unwrap_or(0.0)`.
     pub merge_overlap_fraction: Option<f64>,
     /// Σbusy / (wall × shards): fraction of the theoretically available
     /// worker-seconds actually spent mapping items.
@@ -111,7 +109,7 @@ pub struct EfficiencyAccumulator {
     /// Σ per-chunk mean worker busy, in microsecond units scaled by the
     /// chunk's worker count (kept as a float to avoid rounding bias).
     mean_busy_us: f64,
-    /// Σ pool dispatch queue wait ([`EfficiencyAccumulator::record_pool_dispatch_wait`]).
+    /// Σ per-worker dispatch wait ([`ShardStats::dispatch_wait_us`]).
     pool_dispatch_wait_us: u64,
     /// Σ merge time overlapped with the next chunk's simulation
     /// ([`EfficiencyAccumulator::record_merge_overlap`]).
@@ -129,6 +127,7 @@ impl EfficiencyAccumulator {
         self.simulate_us += stats.wall_us;
         self.merge_us += merge_us;
         self.spawn_wait_us += stats.spawn_wait_us();
+        self.pool_dispatch_wait_us += stats.dispatch_wait_us();
         self.join_wait_us += stats.join_wait_us();
         self.critical_us += stats.max_busy_us();
         if stats.shards() > 0 {
@@ -139,12 +138,6 @@ impl EfficiencyAccumulator {
     /// Chunks folded so far.
     pub fn chunks(&self) -> u64 {
         self.chunks
-    }
-
-    /// Absorbs one pool dispatch's queue wait (Σ per-shard spawn wait
-    /// as stamped by [`fj_par::WorkerPool::submit`]).
-    pub fn record_pool_dispatch_wait(&mut self, us: u64) {
-        self.pool_dispatch_wait_us += us;
     }
 
     /// Absorbs the portion of one merge interval that ran while the
@@ -201,7 +194,7 @@ impl EfficiencyAccumulator {
             spawn_wait_secs: self.spawn_wait_us as f64 / US_PER_SEC,
             join_wait_secs: self.join_wait_us as f64 / US_PER_SEC,
             pool_dispatch_wait_secs: Some(self.pool_dispatch_wait_us as f64 / US_PER_SEC),
-            merge_overlap_secs: Some(self.merge_overlap_us as f64 / US_PER_SEC),
+            merge_overlap_secs: self.merge_overlap_us as f64 / US_PER_SEC,
             merge_overlap_fraction: Some(merge_overlap_fraction),
             efficiency,
             merge_fraction,
@@ -223,6 +216,7 @@ mod tests {
             .enumerate()
             .map(|(shard, &busy_us)| WorkerStats {
                 shard,
+                worker: shard,
                 items: 10,
                 spawn_wait_us: 5,
                 busy_us,
@@ -291,14 +285,13 @@ mod tests {
     fn pool_dispatch_wait_and_merge_overlap_fold_into_the_report() {
         let mut acc = EfficiencyAccumulator::default();
         acc.record_chunk(&stats(&[800, 900]), 400);
-        acc.record_pool_dispatch_wait(30);
         acc.record_merge_overlap(300);
         acc.record_chunk(&stats(&[850, 850]), 600);
-        acc.record_pool_dispatch_wait(20);
         acc.record_merge_overlap(450);
         let r = acc.report(3000);
-        assert!((r.pool_dispatch_wait_secs.unwrap_or(0.0) - 50e-6).abs() < 1e-12);
-        assert!((r.merge_overlap_secs.unwrap_or(0.0) - 750e-6).abs() < 1e-12);
+        // Two chunks of two shards, each on its own worker after 5 µs.
+        assert!((r.pool_dispatch_wait_secs.unwrap_or(0.0) - 20e-6).abs() < 1e-12);
+        assert!((r.merge_overlap_secs - 750e-6).abs() < 1e-12);
         // 750 of 1000 merge µs hidden behind the pipeline.
         let frac = r.merge_overlap_fraction.unwrap_or(0.0);
         assert!((frac - 0.75).abs() < 1e-9, "overlap fraction {frac}");
@@ -316,27 +309,5 @@ mod tests {
         acc.record_chunk(&stats(&[100]), 100);
         acc.record_merge_overlap(500);
         assert_eq!(acc.report(1000).merge_overlap_fraction, Some(1.0));
-        // Pre-pool baselines parse with the new fields absent.
-        let old = r#"{"shards":2,"chunks":1,"items":4,"wall_secs":1.0,
-            "busy_secs":0.5,"simulate_secs":0.5,"merge_secs":0.1,
-            "spawn_wait_secs":0.0,"join_wait_secs":0.0,"efficiency":0.25,
-            "merge_fraction":0.1,"imbalance":1.0,"serial_fraction":0.5,
-            "amdahl_ceiling":1.33}"#;
-        let parsed: ParallelEfficiencyReport = serde_json::from_str(old).expect("old json parses");
-        assert_eq!(parsed.pool_dispatch_wait_secs, None);
-        assert_eq!(parsed.merge_overlap_secs, None);
-        assert_eq!(parsed.merge_overlap_fraction, None);
-    }
-
-    #[test]
-    fn report_round_trips_through_json() {
-        let mut acc = EfficiencyAccumulator::default();
-        acc.record_chunk(&stats(&[700, 900]), 50);
-        acc.record_chunk(&stats(&[800, 800]), 60);
-        let r = acc.report(2000);
-        assert_eq!(r.chunks, 2);
-        let text = serde_json::to_string(&r).expect("serialize");
-        let back: ParallelEfficiencyReport = serde_json::from_str(&text).expect("parse");
-        assert_eq!(back, r);
     }
 }

@@ -79,6 +79,7 @@ proptest! {
                 .enumerate()
                 .map(|(shard, &(items, spawn_wait_us, busy_us, join_wait_us))| WorkerStats {
                     shard,
+                    worker: shard,
                     items,
                     spawn_wait_us,
                     busy_us,

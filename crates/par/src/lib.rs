@@ -128,6 +128,9 @@ impl std::fmt::Debug for ShardPanic {
 pub struct WorkerStats {
     /// Shard index.
     pub shard: usize,
+    /// The pool worker that ran the shard; 0 for every shard of an
+    /// inline pool, which runs them on the submitting thread.
+    pub worker: usize,
     /// Items the shard mapped.
     pub items: u64,
     /// Clock ticks between dispatch entry and the shard starting.
@@ -184,6 +187,27 @@ impl ShardStats {
     /// Total spawn wait across shards.
     pub fn spawn_wait_us(&self) -> u64 {
         self.workers.iter().map(|w| w.spawn_wait_us).sum()
+    }
+
+    /// Time workers sat idle while the dispatch had work for them: per
+    /// worker, dispatch entry → the start of its first shard, plus each
+    /// gap between the end of one of its shards and the start of its
+    /// next. A shard queued behind a sibling on a busy worker adds
+    /// nothing, so this never exceeds [`ShardStats::spawn_wait_us`],
+    /// equals it when every shard has a worker of its own, and reads 0
+    /// for an inline pool.
+    pub fn dispatch_wait_us(&self) -> u64 {
+        let lanes = self.workers.iter().map(|w| w.worker + 1).max().unwrap_or(0);
+        (0..lanes)
+            .map(|lane| {
+                let mine = || self.workers.iter().filter(move |w| w.worker == lane);
+                // A worker runs its shards in ascending order, so its wait
+                // is the end of its last shard less the time it was busy.
+                let end = mine().map(|w| w.spawn_wait_us + w.busy_us).max();
+                end.unwrap_or(0)
+                    .saturating_sub(mine().map(|w| w.busy_us).sum())
+            })
+            .sum()
     }
 
     /// Total join wait across shards.

@@ -113,7 +113,9 @@ impl WorkerPool {
     /// earlier shards on the same worker), `busy` the item loop, and
     /// `join_wait` shard end → `wait` returning. An inline pool runs its
     /// shards back to back, each starting at the stamp where the one
-    /// before it ended, so its first shard reports exactly zero wait.
+    /// before it ended, so its
+    /// [`dispatch_wait_us`](crate::ShardStats::dispatch_wait_us) is
+    /// exactly zero.
     pub fn submit<T, R, F, C>(
         &self,
         mut items: Vec<T>,
@@ -140,6 +142,7 @@ impl WorkerPool {
         parts.reverse();
         let (done_tx, done_rx) = channel::<ShardDone<T, R>>();
         let jobs = parts.len();
+        let lanes = self.senders.len().max(1);
         let mut inline_us = entered_us;
         for (shard, first, part) in parts {
             let tx = done_tx.clone();
@@ -158,7 +161,7 @@ impl WorkerPool {
             };
             // Round-robin by shard index: deterministic placement, and a
             // worker drains its queue in ascending shard order.
-            match self.senders.get(shard % self.senders.len().max(1)) {
+            match self.senders.get(shard % lanes) {
                 Some(worker) => {
                     let stamp = Arc::clone(&clock);
                     if let Err(send_err) = worker.send(Box::new(move || {
@@ -175,6 +178,7 @@ impl WorkerPool {
         Pending {
             rx: done_rx,
             jobs,
+            lanes,
             entered_us,
             clock,
         }
@@ -232,6 +236,8 @@ impl Drop for WorkerPool {
 pub struct Pending<T, R> {
     rx: Receiver<ShardDone<T, R>>,
     jobs: usize,
+    /// Workers the shards were placed on (1 for an inline pool).
+    lanes: usize,
     entered_us: u64,
     clock: SharedClock,
 }
@@ -271,6 +277,7 @@ impl<T, R> Pending<T, R> {
                     }
                     workers.push(WorkerStats {
                         shard,
+                        worker: shard % self.lanes,
                         items: d.items.len() as u64,
                         spawn_wait_us: d.started_us.saturating_sub(self.entered_us),
                         busy_us: d.ended_us.saturating_sub(d.started_us),
@@ -380,6 +387,40 @@ mod tests {
             .wait();
         assert_eq!(second.result.expect("retry clean").len(), 16);
         assert_eq!(pool.workers(), 2);
+    }
+
+    /// Four sleeping shards on two workers: shards 2 and 3 queue a whole
+    /// shard behind shards 0 and 1. The summed spawn wait counts that
+    /// queueing; the per-worker dispatch wait counts only idle workers,
+    /// and an inline pool never leaves one idle. Sleeping jobs keep the
+    /// timing independent of CPU contention.
+    #[test]
+    fn dispatch_wait_counts_idle_workers_not_queued_shards() {
+        const SHARD_US: u64 = 100_000;
+        let epoch = std::time::Instant::now();
+        let clock = move || u64::try_from(epoch.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let sleep = |_: usize, _: &mut u8| {
+            std::thread::sleep(std::time::Duration::from_micros(SHARD_US));
+        };
+        let stats = WorkerPool::new(2)
+            .submit(vec![0u8; 4], 4, clock, sleep)
+            .wait()
+            .stats;
+        let placed: Vec<usize> = stats.workers.iter().map(|w| w.worker).collect();
+        assert_eq!(placed, [0, 1, 0, 1]);
+        assert!(
+            stats.spawn_wait_us() >= 2 * SHARD_US,
+            "queued shards count as spawn wait: {stats:?}"
+        );
+        assert!(
+            stats.dispatch_wait_us() < SHARD_US / 4,
+            "busy workers are not waiting: {stats:?}"
+        );
+        let inline = WorkerPool::new(1)
+            .submit(vec![0u8; 4], 4, clock, sleep)
+            .wait()
+            .stats;
+        assert_eq!(inline.dispatch_wait_us(), 0, "{inline:?}");
     }
 
     #[test]

@@ -156,8 +156,16 @@ proptest! {
             // dispatch wall exactly under a monotonic clock.
             prop_assert_eq!(w.spawn_wait_us + w.busy_us + w.join_wait_us, stats.wall_us);
         }
+        // Per-worker dispatch wait drops only the time shards queued
+        // behind siblings on a busy worker: never above the summed spawn
+        // wait, equal to it when no shard queues, and zero inline.
+        let wait = stats.dispatch_wait_us();
+        prop_assert!(wait <= stats.spawn_wait_us());
+        if stats.shards() <= pool.workers() {
+            prop_assert_eq!(wait, stats.spawn_wait_us());
+        }
         if pool.workers() == 0 {
-            prop_assert!(stats.workers.first().is_none_or(|w| w.spawn_wait_us == 0));
+            prop_assert_eq!(wait, 0);
         }
     }
 }

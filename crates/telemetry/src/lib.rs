@@ -225,25 +225,6 @@ impl Telemetry {
         progress::to_prometheus_text(latest.as_ref())
     }
 
-    /// Atomically writes the latest progress snapshot as pretty JSON to
-    /// `path` (tmp + rename, like checkpoint files), creating parent
-    /// directories, so outside observers can read it mid-run without
-    /// seeing a torn write. No-op (`Ok`) when nothing was published.
-    pub fn write_progress_json(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        let Some(latest) = self.latest_progress() else {
-            return Ok(());
-        };
-        let path = path.as_ref();
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let text = serde_json::to_string_pretty(&latest)
-            .unwrap_or_else(|e| format!("{{\"error\":\"progress serialization failed: {e}\"}}"));
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, text)?;
-        std::fs::rename(&tmp, path)
-    }
-
     /// Writes the Chrome/Perfetto `trace_event` JSON export of the trace
     /// sink to `path`, creating parent directories.
     pub fn write_trace(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
@@ -432,16 +413,12 @@ mod tests {
     }
 
     #[test]
-    fn progress_plane_publishes_renders_and_writes_atomically() {
+    fn progress_plane_publishes_and_renders() {
         let t = Telemetry::new();
         assert!(t.latest_progress().is_none());
         assert_eq!(t.render_progress_prometheus(), "");
-        // An empty plane writes nothing rather than a torn file.
         let dir = std::env::temp_dir().join("fj-progress-test");
         let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("progress-unit.json");
-        t.write_progress_json(&path).unwrap();
-        assert!(!path.exists());
 
         let p = RunProgress {
             chunk: 2,
@@ -466,15 +443,6 @@ mod tests {
         assert!(prom.contains("fj_progress_rounds_done 192"));
         // Progress never leaks into the deterministic exposition.
         assert!(!t.render_prometheus().contains("fj_progress"));
-
-        t.write_progress_json(&path).unwrap();
-        let back: RunProgress =
-            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(back, p);
-        assert!(
-            !path.with_extension("json.tmp").exists(),
-            "tmp renamed away"
-        );
 
         // The flight recorder dump carries the latest snapshot.
         t.arm_flight_recorder("progress-unit", &dir);

@@ -3,32 +3,28 @@
 //! A census-scale streaming run (1000 routers × months, chunked and
 //! checkpointed) can take long enough that "is it stuck?" becomes a real
 //! operational question. This module gives the engine a place to publish
-//! per-chunk [`RunProgress`] snapshots into a bounded ring, and gives
-//! outside observers two read paths that both work *mid-run*:
-//!
-//! * [`Telemetry::render_progress_prometheus`](crate::Telemetry::render_progress_prometheus)
-//!   — Prometheus text for the latest snapshot, rendered on demand and
-//!   entirely separate from both metric registries;
-//! * [`Telemetry::write_progress_json`](crate::Telemetry::write_progress_json)
-//!   — an atomically-written
-//!   (tmp + rename, like checkpoints) JSON file, typically
-//!   `target/telemetry/progress-<exp>.json`, safe to `cat` while the
-//!   run is mid-chunk.
+//! per-chunk [`RunProgress`] snapshots into a bounded ring, which
+//! observers read *mid-run* through
+//! [`Telemetry::latest_progress`](crate::Telemetry::latest_progress),
+//! [`Telemetry::progress_history`](crate::Telemetry::progress_history),
+//! or as Prometheus text for the latest snapshot from
+//! [`Telemetry::render_progress_prometheus`](crate::Telemetry::render_progress_prometheus),
+//! rendered on demand and entirely separate from both metric registries.
 //!
 //! Everything here is wall-clock-derived (rates, ETAs) and therefore
 //! lives **off** the FJ01 deterministic surface: snapshots never enter
-//! the event log, the trace sink, or either metric registry, and the
-//! progress file is a side channel like the flight recorder dump. The
-//! FJ01 regression test `crates/isp/tests/profiler_fj01.rs` holds the
-//! engine to that.
+//! the event log, the trace sink, or either metric registry; the flight
+//! recorder dump carries the latest one as a side channel. The FJ01
+//! regression test `crates/isp/tests/profiler_fj01.rs` holds the engine
+//! to that.
 
 use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize, Value};
 
 /// Snapshots retained in the ring; older ones are evicted silently
-/// (the file/Prometheus views only ever need the latest, the history is
-/// for post-hoc rate inspection).
+/// (the Prometheus view only ever needs the latest, the history is for
+/// post-hoc rate inspection).
 pub const PROGRESS_CAPACITY: usize = 256;
 
 /// One per-chunk progress snapshot published by the streaming engine.
@@ -152,7 +148,7 @@ pub(crate) fn to_prometheus_text(latest: Option<&RunProgress>) -> String {
 }
 
 /// The latest snapshot as a JSON value (`Null` when none), for the
-/// flight recorder dump and the progress file.
+/// flight recorder dump.
 pub(crate) fn to_value(latest: Option<&RunProgress>) -> Value {
     latest.map_or(Value::Null, Serialize::to_value)
 }
