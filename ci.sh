@@ -34,22 +34,23 @@ cargo build --release --offline --manifest-path ledgerbench/Cargo.toml
 # metric NAME LINE: the value of metric NAME (a sed regex) on a result line.
 metric() { echo "$2" | sed -n "s/.*\"$1\": {\"value\": \([^,}]*\).*/\1/p"; }
 
-echo "==> benchmark output checks (both workloads untraced: correct, no failed operation; census_stream >= 100,000 router-rounds/s)"
-for workload in census_stream switch_sleep; do
+echo "==> benchmark output checks (both workloads untraced: correct, no failed operation; census_stream >= 100,000 router-rounds/s, switch_sleep >= 400 decision-hours/s)"
+# Each workload's floor catches a collapsed hot path. census_stream:
+# a serialized pool or a quadratic merge, at about 40 % of the ~244k
+# router-rounds/s the 1,000-router census made at 2 shards on a 1-core
+# host. switch_sleep: a `decide` back on full-graph searches, which
+# made about 40 decision-hours/s.
+for check in census_stream:100000 switch_sleep:400; do
+    workload=${check%:*} floor=${check#*:}
     result=$(cargo run -q --release --offline --manifest-path ledgerbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)
     echo "$workload: ${result:0:80}"
     echo "$result" | grep -q '^{"correct": true, "attempted": [0-9]*, "failed": 0,' \
         || { echo "$workload failed its output checks" >&2; exit 1; }
-    # A floor that catches a collapsed engine (a serialized pool, a
-    # quadratic merge): about 40 % of the ~244k router-rounds/s the
-    # 1,000-router census made at 2 shards on a 1-core host.
-    if [[ "$workload" == census_stream ]]; then
-        rate=$(metric 'work_per_s' "$result")
-        echo "census_stream work_per_s=$rate"
-        awk -v r="$rate" 'BEGIN { exit !(r != "" && r >= 100000) }' \
-            || { echo "census_stream fell below 100,000 router-rounds/s" >&2; exit 1; }
-    fi
+    rate=$(metric 'work_per_s' "$result")
+    echo "$workload work_per_s=$rate"
+    awk -v r="$rate" -v f="$floor" 'BEGIN { exit !(r != "" && r >= f) }' \
+        || { echo "$workload fell below its floor of $floor per second" >&2; exit 1; }
 done
 
 echo "==> allocation and parallel budgets (traced census_stream: <= 0.5 allocations per router-round, exact replays, dispatch wait <= 0.25 s, merge fraction <= 0.35, efficiency >= 0.6)"

@@ -229,13 +229,13 @@ proptest! {
     /// After any sequence of sleeps and wakes, `safe_to_sleep(id)` holds
     /// iff the link is up and sleeping it does not raise the component
     /// count; the query leaves the topology as it found it. Ids repeat
-    /// across edges, self-loops and parallel edges occur, and ids 8 and 9
-    /// are on no edge at all.
+    /// across edges, self-loops and parallel edges occur, and the two
+    /// highest ids are on no edge at all. Half the cases are dense graphs
+    /// of up to 10 nodes; the other half have up to 60 nodes and 150
+    /// edges, where a path query's frontier on a small island runs dry
+    /// long before the one on the main component.
     #[test]
-    fn safe_to_sleep_iff_components_hold(
-        edges in prop::collection::vec((0usize..8, 0usize..10, 0usize..10), 0..24),
-        ops in prop::collection::vec((any::<bool>(), 0usize..10), 0..16),
-    ) {
+    fn safe_to_sleep_iff_components_hold((ids, edges, ops) in arb_sleeping_topology()) {
         let mut topology = Topology::new(edges.iter().copied());
         for &(wake, id) in &ops {
             if wake {
@@ -244,17 +244,36 @@ proptest! {
                 topology.sleep(id);
             }
         }
-        for id in 0..10 {
+        for id in 0..ids {
             let before = topology.component_count();
-            let up: Vec<bool> = (0..10).map(|l| topology.is_up(l)).collect();
+            let up: Vec<bool> = (0..ids).map(|l| topology.is_up(l)).collect();
             let mut slept = topology.clone();
             slept.sleep(id);
             let expected = topology.is_up(id) && slept.component_count() <= before;
             prop_assert_eq!(topology.safe_to_sleep(id), expected, "link {}", id);
-            let after: Vec<bool> = (0..10).map(|l| topology.is_up(l)).collect();
+            let after: Vec<bool> = (0..ids).map(|l| topology.is_up(l)).collect();
             prop_assert_eq!(after, up);
         }
     }
+}
+
+/// A topology to sleep links in: `(ids, edges, ops)`, where `edges` are
+/// `(link id, a, b)` with link ids below `ids - 2`, and `ops` are
+/// `(wake, link id)` with link ids below `ids`.
+type SleepingTopology = (usize, Vec<(usize, usize, usize)>, Vec<(bool, usize)>);
+
+/// Small dense multigraphs (8 edge ids over 10 nodes, up to 24 edges and
+/// 16 operations) or wide sparse ones (148 edge ids over 60 nodes, up to
+/// 150 edges and 60 operations).
+fn arb_sleeping_topology() -> impl Strategy<Value = SleepingTopology> {
+    let shape = |ids: usize, nodes: usize, edges: usize, ops: usize| {
+        (
+            prop::collection::vec((0..ids - 2, 0..nodes, 0..nodes), 0..edges),
+            prop::collection::vec((any::<bool>(), 0..ids), 0..ops),
+        )
+            .prop_map(move |(edges, ops)| (ids, edges, ops))
+    };
+    prop_oneof![shape(10, 10, 24, 16), shape(150, 60, 151, 60)]
 }
 
 /// Whether sleeping the links in `set` keeps all three of `decide`'s

@@ -300,6 +300,7 @@ pub fn build_fleet(cfg: &FleetConfig) -> Fleet {
         routers,
         links,
         packets: PacketProfile::imix(),
+        pool: None,
     }
 }
 

@@ -96,7 +96,6 @@ impl FleetRouter {
 }
 
 /// The whole deployed network.
-#[derive(Debug, Clone)]
 pub struct Fleet {
     /// All routers.
     pub routers: Vec<FleetRouter>,
@@ -104,6 +103,31 @@ pub struct Fleet {
     pub links: Vec<(LinkSide, LinkSide)>,
     /// Packet profile of carried traffic.
     pub packets: PacketProfile,
+    /// The executor [`Fleet::advance_with_shards`] steps routers on, with
+    /// the worker count it was built for. Threads are not simulation
+    /// state: a clone starts without one, and `Debug` leaves it out.
+    pub(crate) pool: Option<(usize, fj_par::WorkerPool)>,
+}
+
+impl Clone for Fleet {
+    fn clone(&self) -> Self {
+        Fleet {
+            routers: self.routers.clone(),
+            links: self.links.clone(),
+            packets: self.packets.clone(),
+            pool: None,
+        }
+    }
+}
+
+impl std::fmt::Debug for Fleet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Fleet")
+            .field("routers", &self.routers)
+            .field("links", &self.links)
+            .field("packets", &self.packets)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Fleet {
@@ -124,15 +148,24 @@ impl Fleet {
     }
 
     /// [`Fleet::advance`] with an explicit shard count. The routers move
-    /// by value through a [`fj_par::WorkerPool`] built for this call
-    /// (`shards <= 1` spawns no thread and steps inline) and are back in
+    /// by value through the fleet's [`fj_par::WorkerPool`] and are back in
     /// place before the first error in fleet order is returned or a
-    /// router-step panic is re-raised. Results are bit-identical whatever
-    /// `shards` is.
+    /// router-step panic is re-raised. The pool is built on the first call
+    /// for a worker count ([`fj_par::clamp_shards`]`(shards)`; one worker
+    /// spawns no thread and steps inline), reused by later calls at that
+    /// count, replaced by a call at another, and joined when the fleet
+    /// drops. Results are bit-identical whatever `shards` is.
     pub fn advance_with_shards(&mut self, dt: SimDuration, shards: usize) -> Result<(), SimError> {
         let now = self.now();
         let packets = self.packets.clone();
-        let pool = fj_par::WorkerPool::new(fj_par::clamp_shards(shards));
+        let workers = fj_par::clamp_shards(shards);
+        let pool = match &mut self.pool {
+            Some((built, pool)) if *built == workers => pool,
+            slot => {
+                *slot = None; // join the old workers before spawning more
+                &slot.insert((workers, fj_par::WorkerPool::new(workers))).1
+            }
+        };
         let routers = std::mem::take(&mut self.routers);
         let step = move |_: usize, router: &mut FleetRouter| router.step(now, &packets, dt);
         let done = pool.submit(routers, shards, || 0, step).wait();
@@ -218,5 +251,114 @@ mod tests {
         assert_send_sync::<PlannedInterface>();
         assert_send_sync::<FleetRouter>();
         assert_send_sync::<Fleet>();
+    }
+
+    /// The fleet's pool as the worker count it was built for and its
+    /// threads, one probe shard per worker (the calling thread for an
+    /// inline pool). Thread ids are never reused, so a rebuilt pool shows
+    /// up as new ids even where it lands at the old one's address.
+    fn pool_threads(fleet: &Fleet) -> (usize, Vec<std::thread::ThreadId>) {
+        let (built, pool) = fleet.pool.as_ref().expect("an advance built the pool");
+        let lanes = pool.workers().max(1);
+        let probe = |_: usize, _: &mut ()| std::thread::current().id();
+        let done = pool.submit(vec![(); lanes], lanes, || 0, probe).wait();
+        (*built, done.result.expect("the probe ran"))
+    }
+
+    /// Every router of `fleet` in `reference`'s place and state: clock,
+    /// every interface's counters and loads, and wall power to the bit.
+    fn assert_routers_match(fleet: &Fleet, reference: &Fleet, context: &str) {
+        assert_eq!(fleet.routers.len(), reference.routers.len(), "{context}");
+        for (r, want) in fleet.routers.iter().zip(&reference.routers) {
+            assert_eq!(r.name, want.name, "{context}");
+            assert_eq!(r.sim.now(), want.sim.now(), "{context}: {}", r.name);
+            for i in 0..want.sim.interface_count() {
+                assert_eq!(
+                    r.sim.interface(i).ok(),
+                    want.sim.interface(i).ok(),
+                    "{context}: {} interface {i}",
+                    r.name
+                );
+            }
+            assert_eq!(
+                r.sim.wall_power().as_f64().to_bits(),
+                want.sim.wall_power().as_f64().to_bits(),
+                "{context}: {}",
+                r.name
+            );
+        }
+    }
+
+    /// One fleet stepped hourly at changing shard counts matches a fleet
+    /// stepped at one shard after every step; a call at the worker count
+    /// the pool was built for reuses its threads, a call at another count
+    /// replaces them, and a failing step returns every router to its
+    /// place and leaves the pool serving the next call.
+    #[test]
+    fn advance_keeps_its_pool_per_worker_count_and_results_per_shard_count() {
+        let mut fleet = crate::build_fleet(&crate::FleetConfig::small(2));
+        let mut reference = fleet.clone();
+        assert!(fleet.pool.is_none() && reference.pool.is_none());
+        let hour = SimDuration::from_hours(1);
+        let mut last: Option<(usize, Vec<std::thread::ThreadId>)> = None;
+        for shards in [2, 2, 1, 4, 1024, 2] {
+            let context = format!("after a step at {shards} shards");
+            fleet
+                .advance_with_shards(hour, shards)
+                .expect("fleet advances");
+            reference
+                .advance_with_shards(hour, 1)
+                .expect("reference advances");
+            assert_routers_match(&fleet, &reference, &context);
+            let now = pool_threads(&fleet);
+            assert_eq!(now.0, fj_par::clamp_shards(shards), "{context}");
+            if let Some((built, threads)) = &last {
+                if *built == now.0 {
+                    assert_eq!(threads, &now.1, "{context}: the pool was rebuilt");
+                } else {
+                    assert!(
+                        threads.iter().all(|t| !now.1.contains(t)),
+                        "{context}: the pool was not replaced"
+                    );
+                }
+            }
+            last = Some(now);
+        }
+        assert!(fleet.clone().pool.is_none(), "a clone spawns nothing");
+
+        let victim = fleet.routers.len() - 1;
+        let planned = fleet.routers[victim]
+            .plan
+            .iter()
+            .position(|p| !p.spare)
+            .expect("the router carries traffic");
+        let index = std::mem::replace(&mut fleet.routers[victim].plan[planned].index, usize::MAX);
+        let names: Vec<String> = fleet.routers.iter().map(|r| r.name.clone()).collect();
+        let clock = fleet.routers[victim].sim.now();
+        let err = fleet
+            .advance_with_shards(hour, 2)
+            .expect_err("an unknown interface fails the step");
+        assert!(
+            matches!(err, SimError::NoSuchInterface(usize::MAX)),
+            "{err:?}"
+        );
+        let back: Vec<String> = fleet.routers.iter().map(|r| r.name.clone()).collect();
+        assert_eq!(back, names, "every router is back in its place");
+        assert_eq!(
+            fleet.routers[victim].sim.now(),
+            clock,
+            "the failed router did not tick"
+        );
+        assert_eq!(
+            Some(pool_threads(&fleet)),
+            last,
+            "the failure kept the pool"
+        );
+
+        fleet.routers[victim].plan[planned].index = index;
+        fleet
+            .advance_with_shards(hour, 2)
+            .expect("the pool serves the next call");
+        assert_eq!(Some(pool_threads(&fleet)), last);
     }
 }

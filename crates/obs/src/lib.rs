@@ -42,14 +42,8 @@ pub struct ParallelEfficiencyReport {
     pub wall_secs: f64,
     /// Σ worker busy time across all chunks.
     pub busy_secs: f64,
-    /// Σ wall time of the sharded simulate calls themselves.
-    pub simulate_secs: f64,
     /// Σ serial merge time (the sequential (round, router) reduction).
     pub merge_secs: f64,
-    /// Σ worker spawn wait (call entry → worker start).
-    pub spawn_wait_secs: f64,
-    /// Σ worker join wait (worker end → call return).
-    pub join_wait_secs: f64,
     /// Σ pool dispatch wait: the time workers sat idle while a chunk
     /// had work for them ([`ShardStats::dispatch_wait_us`]). Shards
     /// queued behind a sibling on a busy worker add nothing, and inline
@@ -72,12 +66,6 @@ pub struct ParallelEfficiencyReport {
     /// Σ per-chunk max busy / Σ per-chunk mean busy (≥ 1; 1 = perfectly
     /// balanced shards, 2 = the slowest worker does twice the mean).
     pub imbalance: f64,
-    /// (wall − Σ per-chunk critical path) / wall, clamped to [0, 1]: the
-    /// measured serial fraction in Amdahl's sense.
-    pub serial_fraction: f64,
-    /// 1 / (serial + (1 − serial) / shards): the speedup ceiling the
-    /// measured serial fraction permits at this shard count.
-    pub amdahl_ceiling: f64,
 }
 
 impl ParallelEfficiencyReport {
@@ -100,10 +88,7 @@ pub struct EfficiencyAccumulator {
     chunks: u64,
     items: u64,
     busy_us: u64,
-    simulate_us: u64,
     merge_us: u64,
-    spawn_wait_us: u64,
-    join_wait_us: u64,
     /// Σ per-chunk max worker busy — the parallel critical path.
     critical_us: u64,
     /// Σ per-chunk mean worker busy, in microsecond units scaled by the
@@ -124,11 +109,8 @@ impl EfficiencyAccumulator {
         self.chunks += 1;
         self.items += stats.items();
         self.busy_us += stats.busy_us();
-        self.simulate_us += stats.wall_us;
         self.merge_us += merge_us;
-        self.spawn_wait_us += stats.spawn_wait_us();
         self.pool_dispatch_wait_us += stats.dispatch_wait_us();
-        self.join_wait_us += stats.join_wait_us();
         self.critical_us += stats.max_busy_us();
         if stats.shards() > 0 {
             self.mean_busy_us += stats.busy_us() as f64 / stats.shards() as f64;
@@ -172,12 +154,6 @@ impl EfficiencyAccumulator {
         } else {
             1.0
         };
-        let serial_fraction = if wall_us > 0 {
-            (1.0 - self.critical_us as f64 / wall_us as f64).clamp(0.0, 1.0)
-        } else {
-            1.0
-        };
-        let amdahl_ceiling = 1.0 / (serial_fraction + (1.0 - serial_fraction) / shards as f64);
         let merge_overlap_fraction = if self.merge_us > 0 {
             (self.merge_overlap_us as f64 / self.merge_us as f64).clamp(0.0, 1.0)
         } else {
@@ -189,18 +165,13 @@ impl EfficiencyAccumulator {
             items: self.items,
             wall_secs,
             busy_secs,
-            simulate_secs: self.simulate_us as f64 / US_PER_SEC,
             merge_secs,
-            spawn_wait_secs: self.spawn_wait_us as f64 / US_PER_SEC,
-            join_wait_secs: self.join_wait_us as f64 / US_PER_SEC,
             pool_dispatch_wait_secs: Some(self.pool_dispatch_wait_us as f64 / US_PER_SEC),
             merge_overlap_secs: self.merge_overlap_us as f64 / US_PER_SEC,
             merge_overlap_fraction: Some(merge_overlap_fraction),
             efficiency,
             merge_fraction,
             imbalance,
-            serial_fraction,
-            amdahl_ceiling,
         }
     }
 }
@@ -243,7 +214,6 @@ mod tests {
             "imbalance {}",
             r.imbalance
         );
-        assert!(r.amdahl_ceiling > 3.8, "ceiling {}", r.amdahl_ceiling);
     }
 
     #[test]
@@ -266,8 +236,6 @@ mod tests {
             "merge fraction {}",
             r.merge_fraction
         );
-        assert!(r.serial_fraction > 0.4, "serial {}", r.serial_fraction);
-        assert!(r.amdahl_ceiling < 1.7, "ceiling {}", r.amdahl_ceiling);
     }
 
     #[test]
@@ -277,8 +245,6 @@ mod tests {
         assert_eq!(r.chunks, 0);
         assert_eq!(r.efficiency, 0.0);
         assert_eq!(r.imbalance, 1.0);
-        assert_eq!(r.serial_fraction, 1.0);
-        assert!((r.amdahl_ceiling - 1.0).abs() < 1e-9);
     }
 
     #[test]

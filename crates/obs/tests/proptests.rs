@@ -62,8 +62,7 @@ proptest! {
     }
 
     /// Report invariants hold for arbitrary folded stats: efficiency and
-    /// the fractions stay in [0, 1], imbalance ≥ 1, and the Amdahl
-    /// ceiling stays between 1 and the shard count.
+    /// the merge fraction stay in [0, 1], and imbalance ≥ 1.
     #[test]
     fn report_invariants(
         chunks in prop::collection::vec(
@@ -98,11 +97,6 @@ proptest! {
         prop_assert_eq!(r.chunks, chunks.len() as u64);
         prop_assert!((0.0..=1.0).contains(&r.efficiency), "efficiency {}", r.efficiency);
         prop_assert!((0.0..=1.0).contains(&r.merge_fraction), "merge {}", r.merge_fraction);
-        prop_assert!((0.0..=1.0).contains(&r.serial_fraction), "serial {}", r.serial_fraction);
         prop_assert!(r.imbalance >= 1.0, "imbalance {}", r.imbalance);
-        prop_assert!(
-            r.amdahl_ceiling >= 1.0 - 1e-9 && r.amdahl_ceiling <= r.shards as f64 + 1e-9,
-            "ceiling {} for {} shards", r.amdahl_ceiling, r.shards
-        );
     }
 }

@@ -10,10 +10,13 @@
 //!
 //! This crate provides the one audited concurrency seam of the workspace:
 //! the [`WorkerPool`], the workspace's only executor. A pool's threads
-//! are spawned once and parked on channels between dispatches, so a
-//! chunked streaming run pays no spawn/join tax per chunk; a pool of 0
-//! or 1 workers spawns no thread and runs every job inline on the
-//! submitting thread (see `pool.rs` for the ownership ping-pong design).
+//! are spawned once and parked on channels between dispatches, so its
+//! owner pays the spawn/join tax once for as long as it keeps the pool:
+//! a chunked streaming run keeps one per run, and an `fj_isp::Fleet`
+//! keeps one across its `advance` calls while the worker count holds.
+//! A pool of 0 or 1 workers spawns no thread and runs every job inline
+//! on the submitting thread (see `pool.rs` for the ownership ping-pong
+//! design).
 //!
 //! [`WorkerPool::submit`] splits an **indexed** workload into contiguous
 //! shards and reduces the per-item results in **stable index order**.
@@ -208,11 +211,6 @@ impl ShardStats {
                     .saturating_sub(mine().map(|w| w.busy_us).sum())
             })
             .sum()
-    }
-
-    /// Total join wait across shards.
-    pub fn join_wait_us(&self) -> u64 {
-        self.workers.iter().map(|w| w.join_wait_us).sum()
     }
 }
 

@@ -1,10 +1,11 @@
 //! The worker pool — fj-par's one executor.
 //!
 //! [`WorkerPool`] spawns its threads once and parks them on channels
-//! between dispatches, so a streaming run that issues one sharded call
-//! *per chunk* pays no spawn/join tax per chunk: dispatching is a
-//! handful of channel sends. A pool of 0 or 1 workers spawns no thread
-//! at all and runs each job inline inside [`WorkerPool::submit`].
+//! between dispatches, so an owner that issues many sharded calls — a
+//! streaming run, one per chunk; a fleet, one per `advance` — pays no
+//! spawn/join tax per call: dispatching is a handful of channel sends.
+//! A pool of 0 or 1 workers spawns no thread at all and runs each job
+//! inline inside [`WorkerPool::submit`].
 //!
 //! Every pool, inline or threaded, keeps one contract:
 //!
